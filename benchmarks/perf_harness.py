@@ -357,6 +357,49 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     return ops
 
 
+def _preprocess_ops(scale: int, repeats: int) -> dict:
+    """The two dominant TAC pre-process kernels, timed in isolation.
+
+    ``opst_plan`` runs Alg. 1 over the unit-block occupancy of every level
+    of the five ``perfbench`` compress datasets (registry realizations;
+    ``n_values`` counts blocks, MB/s is over the levels' cell bytes);
+    ``gsp_pad`` pads the dense ``Run1_Z3`` finest level with the default
+    TAC configuration.  Both feed ``tac_preprocess``.
+    """
+    from repro.core.blocks import block_occupancy
+    from repro.core.gsp import gsp_pad
+    from repro.core.opst import opst_plan
+    from repro.core.tac import default_unit_block
+    from repro.sim.datasets import make_dataset
+
+    levels = [
+        lvl
+        for name in ("Run1_Z10", "Run1_Z5", "Run1_Z3", "Run1_Z2", "Run2_T3")
+        for lvl in make_dataset(name, scale=scale).levels
+    ]
+    grids = [block_occupancy(lvl.mask, default_unit_block(lvl.n)) for lvl in levels]
+    dense = make_dataset("Run1_Z3", scale=scale).levels[0]
+    data = dense.masked_data()
+    block = default_unit_block(dense.n)
+
+    def plan_all():
+        for occ in grids:
+            opst_plan(occ)
+
+    return {
+        "opst_plan": op_entry(
+            time_op(plan_all, repeats),
+            sum(occ.size for occ in grids),
+            sum(lvl.data.nbytes for lvl in levels),
+        ),
+        "gsp_pad": op_entry(
+            time_op(lambda: gsp_pad(data, dense.mask, block), repeats),
+            data.size,
+            data.nbytes,
+        ),
+    }
+
+
 def _ingest_ops(scale: int, repeats: int) -> dict:
     """Streamed ingest hot paths: ``compress_iter`` and a delta session.
 
@@ -414,6 +457,7 @@ OP_GROUPS = {
     "sz": _sz_ops,
     "shared_tables": _shared_tables_ops,
     "codecs": _codec_ops,
+    "preprocess": _preprocess_ops,
     "ingest": _ingest_ops,
 }
 
@@ -435,6 +479,7 @@ GROUP_OPS = {
     "codecs": tuple(
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
     ) + ("tac_preprocess",),
+    "preprocess": ("opst_plan", "gsp_pad"),
     "ingest": ("tac_compress_iter", "ingest_session_delta"),
 }
 

@@ -35,7 +35,7 @@ from repro.core.blocks import (
     integral_image,
     pad_to_blocks,
 )
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_level_arrays, check_positive_int
 
 
 def _next_pow2(value: int) -> int:
@@ -143,9 +143,8 @@ def _choose_axis(table: np.ndarray, origin, shape) -> int:
 def akdtree_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
     """Full AKDTree pre-process: plan full leaves and gather them by shape."""
     block_size = check_positive_int(block_size, name="block_size")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
-    padded = pad_to_blocks(np.asarray(data), block_size)
+    data, mask = check_level_arrays(data, mask)
+    padded = pad_to_blocks(data, block_size)
     occ = block_occupancy(mask, block_size)
     leaves = akdtree_plan(occ)
     # The k-d grid may be padded beyond the data grid; leaves are clipped by

@@ -8,6 +8,13 @@ TAC's hybrid rule is driven entirely by a level's data density:
   (Fig. 11) at a density-independent cost (Fig. 13);
 * ``d >= T2``: **GSP** — little left to remove; preserve locality and pad.
 
+The O(N²·d) figure is the paper's cost model for OpST's bounded BS
+updates.  This implementation's OpST answers each anchor with a
+visit-time query (see :mod:`repro.core.opst`) and no longer shows that
+growth, so the time argument for ``T1`` does not hold here; the
+thresholds stay at the paper's values, so strategy choice — and with it
+every compressed byte — matches the paper's rule.
+
 The dataset-scope rule of §4.4 reuses ``T2``: when the *finest* level is
 denser than ``T2`` the whole dataset is better served by the 3D baseline.
 """

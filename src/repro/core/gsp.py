@@ -11,9 +11,15 @@ neighbour's first ``avg_layers`` boundary slices, and blocks reached by
 several neighbours average the contributions (Alg. 3's ``pad/2``, ``pad/3``
 overlap rule, realized here by sum/count accumulation).
 
-Everything is vectorized per face direction: face-slab means for *all*
-blocks at once via a 6D reshape, neighbour selection via shifted occupancy
-masks, and slab writes via up-sampled per-block value grids.
+The fill works at block resolution.  A ghost cell's value depends only on
+its block and on which face slabs cover it, and along each axis an
+in-block position is in the low slab, the high slab, both (slabs thicker
+than half a block overlap) or neither — at most three distinct classes
+for a given slab thickness, and one for the default whole-block pad.  Sum
+and count are accumulated per (block, class) in :data:`_FACES` order,
+divided once, and expanded into the padded grid in a single write, so the
+per-cell arithmetic (and its rounding) is that of a per-cell
+accumulation at a fraction of the memory traffic.
 
 ``zero_fill`` (ZF) is kept as the reference the paper compares against in
 Fig. 12.
@@ -27,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.blocks import block_occupancy, pad_to_blocks
-from repro.utils.validation import check_positive_int
+from repro.core.blocks import pad_to_blocks
+from repro.utils.validation import check_level_arrays, check_positive_int
 
 #: The six axis-aligned face directions (axis, sign).
 _FACES = [(axis, sign) for axis in range(3) for sign in (+1, -1)]
@@ -58,25 +64,27 @@ class GSPResult:
 
 
 def _face_slab_means(
-    values: np.ndarray, weights: np.ndarray, block: int, avg_layers: int
+    values: np.ndarray, valid: np.ndarray, block: int, avg_layers: int
 ) -> dict[tuple[int, int], np.ndarray]:
     """Mean of each block's boundary slab for all six faces, valid cells only.
 
-    Returns ``{(axis, sign): (nbx, nby, nbz) float64}``; blocks whose slab
-    contains no valid cell get NaN (callers must skip them).
+    ``values`` is zero outside ``valid``, so a slab's sum over its valid
+    cells is its plain sum.  Returns ``{(axis, sign): (nbx, nby, nbz)
+    float64}``; blocks whose slab contains no valid cell get NaN (callers
+    must skip them).
     """
     nb = tuple(dim // block for dim in values.shape)
     v6 = values.reshape(nb[0], block, nb[1], block, nb[2], block)
-    w6 = weights.reshape(nb[0], block, nb[1], block, nb[2], block)
+    m6 = valid.reshape(nb[0], block, nb[1], block, nb[2], block)
     out: dict[tuple[int, int], np.ndarray] = {}
     for axis, sign in _FACES:
-        inner_axis = 2 * axis + 1
         slab = slice(0, avg_layers) if sign < 0 else slice(block - avg_layers, block)
         index: list[slice] = [slice(None)] * 6
-        index[inner_axis] = slab
-        reduce_axes = (1, 3, 5)
-        num = (v6[tuple(index)] * w6[tuple(index)]).sum(axis=reduce_axes, dtype=np.float64)
-        den = w6[tuple(index)].sum(axis=reduce_axes, dtype=np.float64)
+        index[2 * axis + 1] = slab
+        # A contiguous float64 copy of the slab, summed: the reduction order
+        # (and so every rounding) is fixed by this layout.
+        num = v6[tuple(index)].astype(np.float64).sum(axis=(1, 3, 5))
+        den = m6[tuple(index)].sum(axis=(1, 3, 5))
         with np.errstate(invalid="ignore"):
             out[(axis, sign)] = num / den
     return out
@@ -108,27 +116,30 @@ def gsp_pad(
     """
     block_size = check_positive_int(block_size, name="block_size")
     avg_layers = check_positive_int(avg_layers, name="avg_layers")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
+    data, mask = check_level_arrays(data, mask)
     avg_layers = min(avg_layers, block_size)
     x_layers = block_size if pad_layers is None else min(int(pad_layers), block_size)
     if x_layers <= 0:
         raise ValueError("pad_layers must be positive")
 
     values = pad_to_blocks(np.where(mask, data, data.dtype.type(0)), block_size)
-    weights = pad_to_blocks(np.asarray(mask, dtype=np.float64), block_size)
-    occ = block_occupancy(mask, block_size)
-    nb = occ.shape
-    n = values.shape
+    valid = pad_to_blocks(mask.astype(bool, copy=False), block_size)
+    nb = tuple(dim // block_size for dim in values.shape)
+    blocked = (nb[0], block_size, nb[1], block_size, nb[2], block_size)
+    occ = valid.reshape(blocked).any(axis=(1, 3, 5))
+    slab_means = _face_slab_means(values, valid, block_size, avg_layers)
 
-    slab_means = _face_slab_means(values, weights, block_size, avg_layers)
-
-    accum = np.zeros(n, dtype=np.float64)
-    count = np.zeros(n, dtype=np.int32)
-
+    # In-block position classes along any axis: bit 1 = inside the low slab
+    # (padded from the -1 face), bit 2 = inside the high slab (+1 face).
+    pos = np.arange(block_size)
+    codes = (pos < x_layers) + 2 * (pos >= block_size - x_layers)
+    classes, cell_class = np.unique(codes, return_inverse=True)
+    k = classes.size
+    total = np.zeros((*nb, k, k, k), dtype=np.float64)
+    count = np.zeros((*nb, k, k, k), dtype=np.int32)
     for axis, sign in _FACES:
-        # Empty blocks whose (axis, sign) neighbour is non-empty.
-        neighbour_occ = np.zeros(nb, dtype=bool)
+        # Empty blocks whose (axis, sign) neighbour is non-empty and has a
+        # finite facing slab mean receive that mean on their facing slab.
         src: list[slice] = [slice(None)] * 3
         dst: list[slice] = [slice(None)] * 3
         if sign > 0:
@@ -137,55 +148,55 @@ def gsp_pad(
         else:
             dst[axis] = slice(1, nb[axis])
             src[axis] = slice(0, nb[axis] - 1)
-        neighbour_occ[tuple(dst)] = occ[tuple(src)]
-        recipients = ~occ & neighbour_occ
-        if not recipients.any():
+        ghost = np.zeros(nb, dtype=np.float64)
+        ghost[tuple(dst)] = slab_means[(axis, -sign)][tuple(src)]
+        active = np.zeros(nb, dtype=bool)
+        active[tuple(dst)] = occ[tuple(src)]
+        active &= ~occ & np.isfinite(ghost)
+        if not active.any():
             continue
-        # Ghost value per recipient block = neighbour's facing slab mean.
-        neighbour_face = (axis, -sign)  # the neighbour's face adjacent to us
-        means = slab_means[neighbour_face]
-        ghost_block = np.zeros(nb, dtype=np.float64)
-        ghost_block[tuple(dst)] = means[tuple(src)]
-        valid_block = np.zeros(nb, dtype=bool)
-        valid_block[tuple(dst)] = np.isfinite(means[tuple(src)])
-        recipients &= valid_block
-        if not recipients.any():
-            continue
-        # Write each recipient block's facing slab (thickness x_layers)
-        # through one batched fancy-indexed accumulate — only recipient
-        # cells are touched, instead of expanding whole block grids to cell
-        # resolution.  Recipient blocks are distinct within a face, so the
-        # slab cells are disjoint and a plain ``+=`` is exact.
-        bx, by, bz = (idx.astype(np.int64) for idx in np.nonzero(recipients))
-        vals = ghost_block[recipients]
-        if sign > 0:  # neighbour is at higher index: pad the block's top slab
-            slab = np.arange(block_size - x_layers, block_size, dtype=np.int64)
-        else:
-            slab = np.arange(0, x_layers, dtype=np.int64)
-        full = np.arange(block_size, dtype=np.int64)
-        spans = [full, full, full]
-        spans[axis] = slab
-        ix = (bx[:, None] * block_size + spans[0])[:, :, None, None]
-        iy = (by[:, None] * block_size + spans[1])[:, None, :, None]
-        iz = (bz[:, None] * block_size + spans[2])[:, None, None, :]
-        accum[ix, iy, iz] += vals[:, None, None, None]
-        count[ix, iy, iz] += 1
+        covered = [1, 1, 1]
+        covered[axis] = k
+        in_slab = (classes & (2 if sign > 0 else 1) != 0).reshape(covered)
+        hit = active[..., None, None, None] & in_slab
+        # Adding 0.0 where the face does not reach leaves a sum unchanged
+        # (sums start at +0.0 and never become -0.0), so every cell's sum is
+        # its contributions added in _FACES order.
+        total += np.where(hit, ghost[..., None, None, None], 0.0)
+        count += hit
 
-    pad_mask = count > 0
-    padded = values.astype(np.float64)
-    padded[pad_mask] = accum[pad_mask] / count[pad_mask]
+    pad_blocks = count > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fill = (total / count).astype(values.dtype)
+    pad_mask = _expand_classes(pad_blocks, cell_class)
+    np.copyto(values, _expand_classes(fill, cell_class), where=pad_mask)
     return GSPResult(
-        padded=padded.astype(data.dtype),
+        padded=values,
         pad_mask=pad_mask,
         orig_shape=data.shape,
         block_size=block_size,
-        n_padded_blocks=int((~occ & block_occupancy(pad_mask, block_size)).sum()),
+        n_padded_blocks=int(pad_blocks.any(axis=(3, 4, 5)).sum()),
     )
+
+
+def _expand_classes(per_class: np.ndarray, cell_class: np.ndarray) -> np.ndarray:
+    """Expand a ``(nbx, nby, nbz, k, k, k)`` per-(block, class) array to cells.
+
+    ``cell_class[p]`` is the class of in-block position ``p`` along any
+    axis; the result is the padded cell grid.
+    """
+    nbx, nby, nbz = per_class.shape[:3]
+    block = cell_class.size
+    cells = per_class.transpose(0, 3, 1, 4, 2, 5)
+    for axis in (1, 3, 5):
+        cells = np.take(cells, cell_class, axis=axis)
+    return cells.reshape(nbx * block, nby * block, nbz * block)
 
 
 def zero_fill(data: np.ndarray, mask: np.ndarray, block_size: int) -> GSPResult:
     """ZF reference: keep the dense grid, leave empty regions at zero."""
     block_size = check_positive_int(block_size, name="block_size")
+    data, mask = check_level_arrays(data, mask)
     values = pad_to_blocks(np.where(mask, data, data.dtype.type(0)), block_size)
     return GSPResult(
         padded=values,

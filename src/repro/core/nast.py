@@ -17,7 +17,7 @@ from repro.core.blocks import (
     gather_blocks,
     pad_to_blocks,
 )
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_level_arrays, check_positive_int
 
 
 def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
@@ -33,9 +33,8 @@ def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockEx
         Unit block edge length in cells.
     """
     block_size = check_positive_int(block_size, name="block_size")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
-    padded = pad_to_blocks(np.asarray(data), block_size)
+    data, mask = check_level_arrays(data, mask)
+    padded = pad_to_blocks(data, block_size)
     occ = block_occupancy(mask, block_size)
     extraction = BlockExtraction(
         padded_shape=padded.shape, orig_shape=data.shape, block_size=block_size

@@ -16,16 +16,24 @@ blocks, so most extracted cells sit deep inside large sub-blocks:
 3. Extracted cubes are grouped by edge length into 4D arrays (same-size
    sub-blocks merged "into the same array for easy compression").
 
-The partial-update cost grows with ``maxSide`` and hence with data density,
-which is exactly the O(N²·d) behaviour Fig. 13 measures; AKDTree exists to
-avoid it at medium densities.
+Implementation: :func:`opst_plan` answers step 2 with a *visit-time
+query* instead of maintaining the table.  Occupancy only ever shrinks, so
+after Alg. 1's bounded updates an anchor's ``BS`` is exactly the
+maximal-cube size a fresh query on the *current* occupancy returns (the
+update window covers every anchor whose cube could overlap an
+extraction; anchors outside it see unchanged occupancy).  The plan
+therefore walks the initially occupied anchors in the same reverse C
+order and, at each anchor still occupied, grows ``s`` while the ``s³``
+cube ending there is fully occupied — the same cubes, in the same order,
+without the DP table or its windowed recomputes.  :func:`compute_bs`
+keeps the whole-grid DP as the public Alg. 1 reference.
 
-Implementation notes (NumPy idioms): the DP is evaluated as an incremental
-erosion — a cube of edge ``s`` is full iff its occupancy box-sum equals
-``s³``, an O(1) integral-image query — giving ``BS`` in ``maxSide``
-whole-array passes instead of a per-cell Python recurrence; the bounded
-re-computation after each extraction re-runs the same vectorized query on
-just the affected index window.
+The paper's cost model for the bounded updates is O(N²·d): the update
+window grows with ``maxSide`` and hence with density, which is the
+OpST-vs-density growth Fig. 13 reports and the reason AKDTree takes over
+at medium densities.  The visit-time query pays only for the cubes it
+extracts, so this implementation no longer shows that growth; the
+density thresholds stay at the paper's values regardless.
 """
 
 from __future__ import annotations
@@ -35,11 +43,12 @@ import numpy as np
 from repro.core.blocks import (
     BlockExtraction,
     block_occupancy,
+    box_count,
     gather_blocks,
     integral_image,
     pad_to_blocks,
 )
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_level_arrays, check_positive_int
 
 
 def compute_bs(occ: np.ndarray, max_side: int | None = None) -> np.ndarray:
@@ -49,8 +58,11 @@ def compute_bs(occ: np.ndarray, max_side: int | None = None) -> np.ndarray:
     with far corner ``(x,y,z)`` is fully occupied (0 where ``occ`` is
     False).  Equivalent to Alg. 1's min-recurrence; computed by incremental
     erosion with integral-image box counts so each candidate edge length is
-    one whole-array comparison.
+    one whole-array comparison.  ``max_side`` (a positive integer) caps the
+    cube edge.
     """
+    if max_side is not None:
+        max_side = check_positive_int(max_side, name="max_side")
     occ = np.asarray(occ, dtype=bool)
     bs = occ.astype(np.int32)
     if not occ.any():
@@ -68,71 +80,13 @@ def compute_bs(occ: np.ndarray, max_side: int | None = None) -> np.ndarray:
         x1 = xs[:, None, None] + 1
         y1 = ys[None, :, None] + 1
         z1 = zs[None, None, :] + 1
-        counts = _box(table, x1 - s, y1 - s, z1 - s, x1, y1, z1)
+        counts = box_count(table, (x1 - s, y1 - s, z1 - s), (x1, y1, z1))
         full = counts == s**3
         if not full.any():
             break
         view = bs[s - 1 :, s - 1 :, s - 1 :]
         view[full] = s
     return bs
-
-
-def _box(table, x0, y0, z0, x1, y1, z1):
-    return (
-        table[x1, y1, z1]
-        - table[x0, y1, z1]
-        - table[x1, y0, z1]
-        - table[x1, y1, z0]
-        + table[x0, y0, z1]
-        + table[x0, y1, z0]
-        + table[x1, y0, z0]
-        - table[x0, y0, z0]
-    )
-
-
-def _recompute_window(bs, occ, lo, hi, cap) -> None:
-    """Re-run the BS erosion for anchors in the window ``[lo, hi)``.
-
-    Only anchors at indices >= the extraction origin and within ``cap``
-    (the paper's ``maxSide``) of it can change, so the window is bounded
-    regardless of grid size.  The box queries only reach ``cap`` blocks
-    before the window, so a *local* integral image over that support
-    region replaces the full-grid rebuild the caller used to pay for
-    after every extraction.
-    """
-    xs = np.arange(lo[0], hi[0])
-    ys = np.arange(lo[1], hi[1])
-    zs = np.arange(lo[2], hi[2])
-    if xs.size == 0 or ys.size == 0 or zs.size == 0:
-        return
-    window_occ = occ[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-    new_bs = window_occ.astype(np.int32)
-    # Support region of every query box: anchors' far corners lie in
-    # (lo, hi]; near corners reach back at most cap-1 blocks.
-    base = tuple(max(lo[d] + 1 - cap, 0) for d in range(3))
-    table = integral_image(
-        occ[base[0] : hi[0], base[1] : hi[1], base[2] : hi[2]]
-    )
-    x1 = xs[:, None, None] + 1 - base[0]
-    y1 = ys[None, :, None] + 1 - base[1]
-    z1 = zs[None, None, :] + 1 - base[2]
-    for s in range(2, cap + 1):
-        x0 = x1 - s
-        y0 = y1 - s
-        z0 = z1 - s
-        # Global-coordinate validity: the box must start inside the grid.
-        valid = (x0 >= -base[0]) & (y0 >= -base[1]) & (z0 >= -base[2])
-        if not valid.any():
-            break
-        counts = _box(table, np.maximum(x0, 0), np.maximum(y0, 0), np.maximum(z0, 0), x1, y1, z1)
-        full = valid & (counts == s**3)
-        if not full.any():
-            # No s-cube in the window is full, so no larger cube can be
-            # (every full (s+1)-cube contains a full s-cube at the same
-            # far corner) — the erosion is done.
-            break
-        new_bs[full] = s
-    bs[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = new_bs
 
 
 def opst_plan(occ: np.ndarray) -> list[tuple[tuple[int, int, int], int]]:
@@ -142,47 +96,34 @@ def opst_plan(occ: np.ndarray) -> list[tuple[tuple[int, int, int], int]]:
     unit blocks.  The returned cubes are disjoint and cover every occupied
     block exactly once.
     """
-    occ = np.asarray(occ, dtype=bool).copy()
-    bs = compute_bs(occ)
-    max_side = int(bs.max(initial=0))
-    if max_side == 0:
-        return []
-    nb = occ.shape
-    bs_flat = bs.ravel()  # C-order view: cheap per-anchor size lookup
-    stride_x = nb[1] * nb[2]
+    occ = np.array(occ, dtype=bool)  # private, C-contiguous: cleared below
+    occ_flat = occ.reshape(-1)
+    _, ny, nz = occ.shape
     cubes: list[tuple[tuple[int, int, int], int]] = []
-    # Reverse scan order (Alg. 1 line 11, bottom-right-rear first).  The
-    # sorted anchor list is refreshed lazily: anchors whose BS was zeroed by
-    # a previous extraction are skipped on visit.
-    for flat in range(occ.size - 1, -1, -1):
-        size = int(bs_flat[flat])
-        if size < 1:
+    # Reverse scan order (Alg. 1 line 11, bottom-right-rear first); an
+    # anchor emptied by an earlier extraction has BS = 0 and is skipped.
+    for flat in np.flatnonzero(occ_flat)[::-1].tolist():
+        if not occ_flat[flat]:
             continue
-        x, rem = divmod(flat, stride_x)
-        y, z = divmod(rem, nb[2])
+        x, rem = divmod(flat, ny * nz)
+        y, z = divmod(rem, nz)
+        size = 1
+        while (
+            min(x, y, z) >= size
+            and occ[x - size : x + 1, y - size : y + 1, z - size : z + 1].all()
+        ):
+            size += 1
         origin = (x - size + 1, y - size + 1, z - size + 1)
         cubes.append((origin, size))
         occ[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = False
-        bs[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = 0
-        # Bounded partial update (Alg. 1's updateBs): anchors whose cube
-        # could overlap the removed region.  The window recompute builds
-        # its own local integral image, so no full-grid refresh is needed.
-        lo = origin
-        hi = (
-            min(origin[0] + size + max_side - 1, nb[0]),
-            min(origin[1] + size + max_side - 1, nb[1]),
-            min(origin[2] + size + max_side - 1, nb[2]),
-        )
-        _recompute_window(bs, occ, lo, hi, max_side)
     return cubes
 
 
 def opst_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
     """Full OpST pre-process: plan maximal cubes and gather them by size."""
     block_size = check_positive_int(block_size, name="block_size")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
-    padded = pad_to_blocks(np.asarray(data), block_size)
+    data, mask = check_level_arrays(data, mask)
+    padded = pad_to_blocks(data, block_size)
     occ = block_occupancy(mask, block_size)
     extraction = BlockExtraction(
         padded_shape=padded.shape, orig_shape=data.shape, block_size=block_size

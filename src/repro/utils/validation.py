@@ -73,3 +73,21 @@ def check_positive_int(value, *, name: str) -> int:
     if ivalue != value or ivalue <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return ivalue
+
+
+def check_level_arrays(data, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one AMR level's value grid and mask; return them as arrays.
+
+    Every pre-process strategy works on a 3-D grid with a mask of the same
+    shape; anything else is rejected here, with both shapes named, instead
+    of failing deep inside a reshape or an index computation.
+    """
+    data = np.asarray(data)
+    mask = np.asarray(mask)
+    if data.ndim != 3 or mask.ndim != 3:
+        raise ValueError(
+            f"level data and mask must be 3-D, got shapes {data.shape} and {mask.shape}"
+        )
+    if data.shape != mask.shape:
+        raise ValueError(f"data and mask shapes differ: {data.shape} vs {mask.shape}")
+    return data, mask

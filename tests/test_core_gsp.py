@@ -1,9 +1,10 @@
 """Unit tests for ghost-shell padding and zero filling."""
 
+import itertools
+import zlib
+
 import numpy as np
 import pytest
-
-import zlib
 
 from repro.core.gsp import (
     BrickTable,
@@ -15,6 +16,70 @@ from repro.core.gsp import (
     zero_fill,
 )
 from tests.helpers import random_mask, smooth_cube
+
+
+#: Alg. 3's face order: (axis, sign) for x+, x-, y+, y-, z+, z-.
+FACES = [(axis, sign) for axis in range(3) for sign in (+1, -1)]
+
+
+def naive_gsp(data, mask, block, pad_layers=None, avg_layers=2):
+    """Alg. 3 cell by cell: every empty block, every face, every slab cell.
+
+    Returns ``(padded, pad_mask, n_padded_blocks)``.  Slab sums are plain
+    sequential float64 sums, so callers feed dyadic values (exact sums in
+    any order) when they compare bit for bit.
+    """
+    x_layers = block if pad_layers is None else min(pad_layers, block)
+    y_layers = min(avg_layers, block)
+    shape = tuple(-(-dim // block) * block for dim in data.shape)
+    nb = tuple(dim // block for dim in shape)
+    values = np.zeros(shape, dtype=data.dtype)
+    valid = np.zeros(shape, dtype=bool)
+    n0, n1, n2 = data.shape
+    values[:n0, :n1, :n2] = np.where(mask, data, 0)
+    valid[:n0, :n1, :n2] = mask
+
+    def cells(b, axis=0, lo=0, hi=block):
+        ranges = [range(b[i] * block, (b[i] + 1) * block) for i in range(3)]
+        ranges[axis] = range(b[axis] * block + lo, b[axis] * block + hi)
+        return itertools.product(*ranges)
+
+    def occupied(b):
+        return any(valid[c] for c in cells(b))
+
+    accum = np.zeros(shape, dtype=np.float64)
+    count = np.zeros(shape, dtype=np.int64)
+    n_padded = 0
+    for b in np.ndindex(nb):
+        if occupied(b):
+            continue
+        padded_here = False
+        for axis, sign in FACES:
+            nbr = list(b)
+            nbr[axis] += sign
+            if not 0 <= nbr[axis] < nb[axis] or not occupied(nbr):
+                continue
+            # The neighbour's y slices facing this block.
+            lo, hi = (0, y_layers) if sign > 0 else (block - y_layers, block)
+            total, n = 0.0, 0
+            for c in cells(nbr, axis, lo, hi):
+                if valid[c]:
+                    total += float(values[c])
+                    n += 1
+            if n == 0 or not np.isfinite(total / n):
+                continue
+            mean = total / n
+            # This block's x slices facing the neighbour.
+            lo, hi = (block - x_layers, block) if sign > 0 else (0, x_layers)
+            for c in cells(b, axis, lo, hi):
+                accum[c] += mean
+                count[c] += 1
+            padded_here = True
+        n_padded += padded_here
+    pad_mask = count > 0
+    padded = values.copy()
+    padded[pad_mask] = (accum[pad_mask] / count[pad_mask]).astype(data.dtype)
+    return padded, pad_mask, n_padded
 
 
 def level_with_hole(n=12, block=4, value=5.0):
@@ -136,6 +201,59 @@ class TestGSP:
             if ghosts.size:
                 assert ghosts.max() <= data.max() + 1e-5
                 assert ghosts.min() >= data.min() - 1e-5
+
+
+class TestGSPMatchesAlg3:
+    """``gsp_pad`` is bit-identical to the cell-by-cell Alg. 3 reference."""
+
+    @staticmethod
+    def level(shape, dtype, seed, block=4, nan=False):
+        rng = np.random.default_rng(seed)
+        # Block-granular holes plus cell-level gaps, so some neighbour slabs
+        # are partially valid and some have no valid cell at all.
+        mask = random_mask(shape, 0.6, seed=seed, block=block) & (rng.random(shape) < 0.85)
+        # Dyadic values: every slab sum is exact, whatever the order.
+        data = (rng.integers(-4096, 4096, size=shape) / 1024).astype(dtype)
+        if nan:
+            data[mask & (rng.random(shape) < 0.05)] = np.nan
+        return np.where(mask, data, dtype(0)), mask
+
+    @pytest.mark.parametrize("pad_layers", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("avg_layers", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [(12, 8, 8), (10, 9, 7)])
+    def test_pad_and_avg_layers(self, shape, pad_layers, avg_layers):
+        data, mask = self.level(shape, np.float32, seed=sum(shape) + avg_layers)
+        self.check(data, mask, 4, pad_layers, avg_layers)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("block, pad_layers", [(3, 2), (4, 3), (5, None), (2, 1)])
+    def test_dtypes_nan_and_ragged_blocks(self, dtype, nan, block, pad_layers):
+        data, mask = self.level((11, 7, 9), dtype, seed=block, block=block, nan=nan)
+        self.check(data, mask, block, pad_layers, 2)
+
+    @staticmethod
+    def check(data, mask, block, pad_layers, avg_layers):
+        result = gsp_pad(data, mask, block, pad_layers=pad_layers, avg_layers=avg_layers)
+        padded, pad_mask, n_padded = naive_gsp(data, mask, block, pad_layers, avg_layers)
+        assert n_padded > 0
+        assert result.padded.dtype == padded.dtype
+        assert result.padded.tobytes() == padded.tobytes()
+        assert np.array_equal(result.pad_mask, pad_mask)
+        assert result.n_padded_blocks == n_padded
+
+
+class TestLevelArrayValidation:
+    @pytest.mark.parametrize("fn", [gsp_pad, zero_fill])
+    def test_shape_mismatch_names_both_shapes(self, fn):
+        with pytest.raises(ValueError, match=r"shapes differ: \(8, 8, 8\) vs \(8, 8, 4\)"):
+            fn(np.zeros((8, 8, 8)), np.ones((8, 8, 4), dtype=bool), 4)
+
+    @pytest.mark.parametrize("fn", [gsp_pad, zero_fill])
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 8, 8, 8)])
+    def test_non_3d_input_rejected(self, fn, shape):
+        with pytest.raises(ValueError, match=r"must be 3-D, got shapes"):
+            fn(np.zeros(shape), np.ones(shape, dtype=bool), 4)
 
 
 class TestZeroFill:

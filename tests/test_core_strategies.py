@@ -17,21 +17,64 @@ from repro.core.opst import compute_bs, opst_extract, opst_plan, opst_restore
 from tests.helpers import random_mask, smooth_cube
 
 
+def brute_force_cube(occ: np.ndarray, x: int, y: int, z: int) -> int:
+    """Edge of the largest fully occupied cube with far corner (x, y, z)."""
+    s = 0
+    while (
+        x - s >= 0
+        and y - s >= 0
+        and z - s >= 0
+        and occ[x - s : x + 1, y - s : y + 1, z - s : z + 1].all()
+    ):
+        s += 1
+    return s
+
+
 def brute_force_bs(occ: np.ndarray) -> np.ndarray:
     out = np.zeros(occ.shape, dtype=np.int32)
-    for x in range(occ.shape[0]):
-        for y in range(occ.shape[1]):
-            for z in range(occ.shape[2]):
-                s = 0
-                while (
-                    x - s >= 0
-                    and y - s >= 0
-                    and z - s >= 0
-                    and occ[x - s : x + 1, y - s : y + 1, z - s : z + 1].all()
-                ):
-                    s += 1
-                out[x, y, z] = s
+    for x, y, z in np.ndindex(occ.shape):
+        out[x, y, z] = brute_force_cube(occ, x, y, z)
     return out
+
+
+def reference_opst_plan(occ: np.ndarray) -> list:
+    """Alg. 1 verbatim: visit every anchor in reverse C order and read its BS
+    from a brute-force recomputation on the occupancy as it is at the visit."""
+    occ = np.array(occ, dtype=bool)
+    cubes = []
+    for flat in range(occ.size - 1, -1, -1):
+        x, y, z = (int(v) for v in np.unravel_index(flat, occ.shape))
+        size = brute_force_cube(occ, x, y, z)
+        if size == 0:
+            continue
+        origin = (x - size + 1, y - size + 1, z - size + 1)
+        cubes.append((origin, size))
+        occ[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = False
+    return cubes
+
+
+def table_opst_plan(occ: np.ndarray) -> list:
+    """Alg. 1 with its BS table: ``compute_bs`` once, then the whole table
+    recomputed after every extraction (the unbounded form of updateBs)."""
+    occ = np.array(occ, dtype=bool)
+    bs = compute_bs(occ)
+    cubes = []
+    for flat in range(occ.size - 1, -1, -1):
+        x, y, z = (int(v) for v in np.unravel_index(flat, occ.shape))
+        size = int(bs[x, y, z])
+        if size == 0:
+            continue
+        origin = (x - size + 1, y - size + 1, z - size + 1)
+        cubes.append((origin, size))
+        occ[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = False
+        bs = compute_bs(occ)
+    return cubes
+
+
+def assert_matches_alg1(occ: np.ndarray) -> None:
+    cubes = opst_plan(occ)
+    assert cubes == reference_opst_plan(occ)
+    assert cubes == table_opst_plan(occ)
 
 
 def cover_from_cubes(cubes, shape):
@@ -66,6 +109,46 @@ class TestComputeBS:
     def test_max_side_cap(self):
         occ = np.ones((4, 4, 4), dtype=bool)
         assert compute_bs(occ, max_side=2).max() == 2
+
+    @pytest.mark.parametrize("cap", [0, -1, 1.5])
+    def test_max_side_must_be_positive_int(self, cap):
+        with pytest.raises(ValueError, match="max_side"):
+            compute_bs(np.ones((3, 3, 3), dtype=bool), max_side=cap)
+
+
+class TestOpSTPlanMatchesAlg1:
+    """``opst_plan`` returns exactly Alg. 1's cube list, in Alg. 1's order."""
+
+    def test_seeded_random_grids(self):
+        for seed, density in enumerate(np.linspace(0.05, 0.95, 19)):
+            rng = np.random.default_rng(seed)
+            shape = tuple(int(v) for v in rng.integers(2, 9, size=3))
+            assert_matches_alg1(rng.random(shape) < density)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 8, 5), (8, 3, 2), (1, 7, 6), (5, 1, 4), (6, 6, 1), (1, 1, 9), (1, 1, 1)]
+    )
+    def test_non_cubic_and_one_thick_grids(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for density in (0.3, 0.7, 0.95):
+            assert_matches_alg1(rng.random(shape) < density)
+
+    @pytest.mark.parametrize("shape", [(5, 5, 5), (4, 6, 3), (1, 3, 2)])
+    def test_all_full_and_all_empty(self, shape):
+        assert_matches_alg1(np.ones(shape, dtype=bool))
+        assert opst_plan(np.zeros(shape, dtype=bool)) == []
+
+    def test_block_structured_grid(self):
+        assert_matches_alg1(random_mask((12, 12, 12), 0.6, seed=4, block=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**31),
+    )
+    def test_property_matches_reference(self, shape, density, seed):
+        assert_matches_alg1(np.random.default_rng(seed).random(shape) < density)
 
 
 class TestOpSTPlan:
@@ -210,9 +293,16 @@ class TestExtractRestore:
             assert out.shape == (n, n, n)
             assert np.array_equal(np.where(mask, out, 0), data)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            nast_extract(np.zeros((4, 4, 4)), np.zeros((4, 4, 2), dtype=bool), 2)
+    @pytest.mark.parametrize("extract", [nast_extract, opst_extract, akdtree_extract])
+    def test_shape_mismatch_rejected(self, extract):
+        with pytest.raises(ValueError, match=r"shapes differ: \(4, 4, 4\) vs \(4, 4, 2\)"):
+            extract(np.zeros((4, 4, 4)), np.zeros((4, 4, 2), dtype=bool), 2)
+
+    @pytest.mark.parametrize("extract", [nast_extract, opst_extract, akdtree_extract])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4, 4)])
+    def test_non_3d_input_rejected(self, extract, shape):
+        with pytest.raises(ValueError, match=r"must be 3-D, got shapes"):
+            extract(np.zeros(shape), np.ones(shape, dtype=bool), 2)
 
     def test_opst_boundary_fraction_below_nast(self, rng):
         # OpST's whole point: larger blocks => fewer boundary cells.
