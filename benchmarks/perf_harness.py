@@ -196,6 +196,20 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
     ops["huffman_decode_chunked_window"] = op_entry(
         time_op(decode_chunked, repeats), n, nbytes
     )
+
+    # Multi-stream decode: eight brick-sized streams under one code (the
+    # bricks of a shared-table level, 64³ each at scale 4) decoded as one
+    # lockstep pass, which pays the round schedule once instead of 8×.
+    from repro.sz.huffman import decode_streams
+
+    brick = max(4 * 64**3 // scale, 4096)
+    multi = np.clip(rng.geometric(0.3, size=(8, brick)) + 4096 - 1, 0, 8192)
+    codec_m = HuffmanCodec.from_symbols(multi.ravel(), alphabet_size=8193)
+    streams = [(codec_m, codec_m.encode(row)) for row in multi]
+    assert all(np.array_equal(d, row) for d, row in zip(decode_streams(streams), multi))
+    ops["huffman_decode_multi"] = op_entry(
+        time_op(lambda: decode_streams(streams), repeats), multi.size, multi.size * 8
+    )
     return ops
 
 
@@ -471,6 +485,7 @@ GROUP_OPS = {
         "huffman_decode_ragged",
         "huffman_table_build",
         "huffman_decode_chunked_window",
+        "huffman_decode_multi",
     ),
     "blocks": ("gather_blocks", "scatter_blocks", "block_counts"),
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))

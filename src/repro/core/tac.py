@@ -19,6 +19,7 @@ masks — all counted in the compressed size.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,6 +41,7 @@ from repro.core.gsp import (
     DEFAULT_BRICK_SIZE,
     BrickTable,
     brick_boxes,
+    bricks_in_box,
     gsp_pad,
     serialize_brick_table,
     zero_fill,
@@ -56,7 +58,6 @@ from repro.core.plan import (
     DecodeUnit,
     DecompressionPlan,
     PlanExecutorMixin,
-    boxes_intersect,
     execute_plan,
     normalize_region,
     region_slices,
@@ -472,28 +473,15 @@ class TACCompressor(PlanExecutorMixin):
             if strategy == "empty":
                 continue
             resolver = self._table_resolver(comp, level_meta)
-            extra = (resolver.part_name,) if resolver is not None else ()
             if strategy in (Strategy.GSP.value, Strategy.ZF.value):
                 bricks = level_meta.get("bricks")
                 if not bricks:
                     # Legacy format 1: the level is one monolithic stream.
-                    name = f"L{idx}/grid"
-                    units.append(
-                        DecodeUnit(
-                            key=name,
-                            level=idx,
-                            part_names=(name,) + extra,
-                            decode=lambda name=name, r=resolver: self.codec.decompress(
-                                comp.parts[name], shared_tables=r
-                            ),
-                        )
-                    )
+                    units.append(self._sz_unit(comp, idx, f"L{idx}/grid", resolver))
                     continue
                 # Format 2: one independent unit per brick, tagged with
                 # the level-space box it covers.
-                units.extend(
-                    unit for _bbox, unit in self._brick_units(comp, idx, level_meta)
-                )
+                units.extend(self._brick_units(comp, idx, level_meta))
                 continue
             layout_name = f"L{idx}/layout"
             units.append(
@@ -504,60 +492,75 @@ class TACCompressor(PlanExecutorMixin):
                     decode=lambda name=layout_name: deserialize_layout(comp.parts[name]),
                 )
             )
-            for group_idx in range(level_meta["n_groups"]):
-                name = f"L{idx}/g{group_idx}"
-                units.append(
-                    DecodeUnit(
-                        key=name,
-                        level=idx,
-                        part_names=(name,) + extra,
-                        decode=lambda name=name, r=resolver: self.codec.decompress(
-                            comp.parts[name], shared_tables=r
-                        ),
-                    )
-                )
+            units.extend(
+                self._sz_unit(comp, idx, f"L{idx}/g{group_idx}", resolver)
+                for group_idx in range(level_meta["n_groups"])
+            )
         return DecompressionPlan(units)
 
-    def _brick_units(
-        self, comp, idx: int, level_meta: dict
-    ) -> list[tuple[tuple[tuple[int, int], ...], DecodeUnit]]:
-        """``(padded-grid box, DecodeUnit)`` per brick of a format-2 level.
+    def _sz_unit(
+        self, comp, idx: int, name: str, resolver: SharedTableResolver | None, box=None
+    ) -> DecodeUnit:
+        """The decode unit of one SZ stream part of level ``idx``.
 
-        The single source of brick part naming, decode closures, and unit
-        geometry — both the level plan and the ROI fast path consume it,
-        so the two read paths cannot drift apart.  Each unit's ``box`` is
-        the brick's padded-grid box *clipped to the level extents*: a
-        brick wholly inside the block padding covers nothing visible and
-        is prunable by any ROI.
+        Units of a level share a batch key, so executors decode them
+        together through :meth:`SZCompressor.decompress_many`.
+        Shared-table levels append the ``L<idx>/table`` part to the
+        unit's ``part_names`` (prefetch/ROI accounting dedups the repeat
+        name), and a plan's units of one level share one memoized
+        resolver, so the table part is fetched once.
+        """
+        extra = (resolver.part_name,) if resolver is not None else ()
+        many = functools.partial(self.codec.decompress_many, shared_tables=resolver)
+        load = functools.partial(comp.parts.__getitem__, name)
+        return DecodeUnit(
+            key=name,
+            level=idx,
+            part_names=(name,) + extra,
+            decode=lambda: self.codec.decompress(load(), shared_tables=resolver),
+            box=box,
+            batch_key=("sz", idx),
+            load=load,
+            decode_many=many,
+        )
 
-        Shared-table levels append the ``L<idx>/table`` part to every
-        brick's ``part_names`` (prefetch/ROI accounting dedups the repeat
-        name), and every decode closure shares one memoized resolver, so
-        an ROI read fetches the table part once plus only touched bricks.
+    def _bricks(
+        self, comp, idx: int, level_meta: dict, region=None
+    ) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
+        """``(part name, box)`` per brick of a format-2 level.
+
+        The single source of brick part naming and geometry — the level
+        plan, the ROI fast path and ROI assembly all consume it, so the
+        read paths cannot drift apart.  ``box`` is the brick's padded-grid
+        box *clipped to the level extents*: a brick wholly inside the
+        block padding covers nothing visible and is prunable by any ROI.
+        With ``region`` (level-cell bounds) only the bricks it touches are
+        listed, found by arithmetic on the regular brick grid.
         """
         shape = tuple(comp.meta["shapes"][idx])
         padded_shape = tuple(level_meta["padded_shape"])
-        resolver = self._table_resolver(comp, level_meta)
-        extra = (resolver.part_name,) if resolver is not None else ()
+        size = level_meta["bricks"]["size"]
+        boxes = brick_boxes(padded_shape, size)
+        if region is None:
+            indices = range(len(boxes))
+        else:
+            indices = bricks_in_box(padded_shape, size, region).tolist()
         out = []
-        for brick_idx, bbox in enumerate(
-            brick_boxes(padded_shape, level_meta["bricks"]["size"])
-        ):
-            name = f"L{idx}/b{brick_idx}"
-            clipped = tuple(
-                (min(lo, dim), min(hi, dim)) for (lo, hi), dim in zip(bbox, shape)
-            )
-            unit = DecodeUnit(
-                key=name,
-                level=idx,
-                part_names=(name,) + extra,
-                decode=lambda name=name, r=resolver: self.codec.decompress(
-                    comp.parts[name], shared_tables=r
-                ),
-                box=clipped,
-            )
-            out.append((bbox, unit))
+        for brick_idx in indices:
+            bbox = boxes[brick_idx]
+            box = tuple((min(lo, dim), min(hi, dim)) for (lo, hi), dim in zip(bbox, shape))
+            out.append((f"L{idx}/b{brick_idx}", box))
         return out
+
+    def _brick_units(self, comp, idx: int, level_meta: dict, region=None) -> list[DecodeUnit]:
+        """One decode unit per brick of :meth:`_bricks`.  All share one
+        table resolver, so an ROI read fetches the table part once plus
+        only the touched bricks."""
+        resolver = self._table_resolver(comp, level_meta)
+        return [
+            self._sz_unit(comp, idx, name, resolver, box)
+            for name, box in self._bricks(comp, idx, level_meta, region)
+        ]
 
     def decompress(
         self,
@@ -704,17 +707,9 @@ class TACCompressor(PlanExecutorMixin):
             for group_idx, group_shape in enumerate(shapes)
             if selected[group_shape].size
         ]
-        extra = (resolver.part_name,) if resolver is not None else ()
         plan = DecompressionPlan(
             [
-                DecodeUnit(
-                    key=f"L{level}/g{group_idx}",
-                    level=level,
-                    part_names=(f"L{level}/g{group_idx}",) + extra,
-                    decode=lambda name=f"L{level}/g{group_idx}", r=resolver: (
-                        self.codec.decompress(comp.parts[name], shared_tables=r)
-                    ),
-                )
+                self._sz_unit(comp, level, f"L{level}/g{group_idx}", resolver)
                 for group_idx, _shape in needed
             ]
         )
@@ -743,35 +738,23 @@ class TACCompressor(PlanExecutorMixin):
         ROI — the same units, keys, and geometry the level plan uses
         (:meth:`_brick_units`); the serialized ``L<idx>/bricks`` table
         part is wire self-description, not a read dependency — and
-        assembles them into the ROI's brick-aligned bounding box, so the
-        decoded cell count is that bounding box's volume, never the
-        level's.
+        writes each one's intersection straight into the ROI.
         """
-        hit = [
-            (bbox, unit)
-            for bbox, unit in self._brick_units(comp, level, level_meta)
-            if boxes_intersect(unit.box, box)
-        ]
-        results = execute_plan(
-            DecompressionPlan([unit for _bbox, unit in hit]), decode_workers
+        hit = self._brick_units(comp, level, level_meta, box)
+        results = execute_plan(DecompressionPlan(hit), decode_workers)
+        return _bricks_into_region(
+            [(unit.key, unit.box) for unit in hit], results, box, region_mask
         )
-        # Brick-aligned bounding box of the ROI, clipped to the padded grid.
-        size = int(level_meta["bricks"]["size"])
-        padded_shape = tuple(level_meta["padded_shape"])
-        lo = tuple((b_lo // size) * size for b_lo, _hi in box)
-        hi = tuple(
-            min(-(-b_hi // size) * size, dim)
-            for (_lo, b_hi), dim in zip(box, padded_shape)
-        )
-        first = results[hit[0][1].key]
-        out = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=first.dtype)
-        for bbox, unit in hit:
-            target = tuple(
-                slice(b_lo - off, b_hi - off) for (b_lo, b_hi), off in zip(bbox, lo)
-            )
-            out[target] = results[unit.key]
-        sliced = out[tuple(slice(b_lo - off, b_hi - off) for (b_lo, b_hi), off in zip(box, lo))]
-        return np.where(region_mask, sliced, sliced.dtype.type(0))
+
+    def _assemble_region(self, comp, idx: int, box, results: dict, structure) -> np.ndarray:
+        """Brick-chunked levels assemble straight into the ROI; every
+        other level assembles whole and is sliced."""
+        level_meta = self._level_meta(comp, idx)
+        if not level_meta.get("bricks"):
+            return super()._assemble_region(comp, idx, box, results, structure)
+        bricks = self._bricks(comp, idx, level_meta, box)
+        mask = self._level_mask(comp, structure, idx, tuple(comp.meta["shapes"][idx]))
+        return _bricks_into_region(bricks, results, box, mask[region_slices(box)])
 
     @staticmethod
     def _level_mask(comp: CompressedDataset, structure, idx: int, shape) -> np.ndarray:
@@ -813,6 +796,34 @@ class TACCompressor(PlanExecutorMixin):
                 }[strategy]
                 result = extract(data, lvl.mask, block)
         return result, record.get("preprocess")
+
+
+def _bricks_into_region(bricks, results: dict, box, region_mask: np.ndarray) -> np.ndarray:
+    """Decoded bricks → the ROI ``box`` of their level (masked-out cells zero).
+
+    ``bricks`` are ``(key, box)`` pairs from :meth:`TACCompressor._bricks`.
+    Each brick writes only its intersection with the ROI, so the output
+    is ROI-sized, never the level's.  A decoded brick starts at its box's
+    low corner (the box is clipped to the level; the brick may run on
+    into block padding).  Bricks without a result — pruned, or failed
+    under a degraded read — leave zeros.
+    """
+    out = None
+    for key, brick_box in bricks:
+        decoded = results.get(key)
+        if decoded is None:
+            continue
+        inter = [(max(lo, r_lo), min(hi, r_hi)) for (lo, hi), (r_lo, r_hi) in zip(brick_box, box)]
+        if any(lo >= hi for lo, hi in inter):
+            continue
+        if out is None:
+            out = np.zeros(tuple(hi - lo for lo, hi in box), dtype=decoded.dtype)
+        target = tuple(slice(lo - r_lo, hi - r_lo) for (lo, hi), (r_lo, _) in zip(inter, box))
+        source = tuple(slice(lo - b_lo, hi - b_lo) for (lo, hi), (b_lo, _) in zip(inter, brick_box))
+        out[target] = decoded[source]
+    if out is None:  # no brick result (every touched brick failed)
+        out = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
+    return np.where(region_mask, out, out.dtype.type(0))
 
 
 def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:

@@ -13,7 +13,11 @@ them as a pipeline:
    entry's :class:`~repro.core.container.LazyPartStore`;
 3. the moment the last window a unit depends on lands, the unit's decode
    is submitted to the decode pool — so bricks decode while later
-   windows are still in flight, overlapping network with CPU.
+   windows are still in flight, overlapping network with CPU.  Units
+   made ready by the same landing round that share a batch key
+   (:attr:`~repro.core.plan.DecodeUnit.batch_key`) decode as one task,
+   paying one lockstep Huffman schedule; a batch that fails is re-decoded
+   unit by unit, so a degraded read still pins a failure to one brick.
 
 Units already satisfied by a decoded-brick cache are skipped entirely
 (``preloaded``), and eager in-memory ``parts`` dicts degrade to a plain
@@ -30,7 +34,7 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 
 from repro.core.container import coalesce_spans
-from repro.core.plan import DecompressionPlan, execute_plan
+from repro.core.plan import DecompressionPlan, batch_units, decode_batch, execute_plan
 
 #: Default fetch-window gap: parts closer than this many bytes merge into
 #: one ranged read.  4 KiB bridges part-index padding without dragging in
@@ -242,12 +246,13 @@ class PrefetchPipeline:
                     stats.last_fetch_end = now
             return names
 
-        def decode(unit):
+        def decode(units):
             now = time.perf_counter()
             with time_lock:
                 if stats.first_decode_start is None:
                     stats.first_decode_start = now
-            return unit.decode()
+            errors = {} if allow_partial else None
+            return decode_batch(units, errors), errors or {}
 
         fetch_futures = {
             self._io_pool.submit(fetch, names): idx
@@ -261,18 +266,29 @@ class PrefetchPipeline:
             for unit in pending
         }
         failed = stats.unit_errors
-        decode_futures = {}
+        submitted: set[str] = set()
+        decode_tasks = []  # (units, future), one per batch of ready units
+        ready: list = []
 
-        def submit_ready(unit) -> None:
+        def mark_ready(unit) -> None:
             if (
                 not waiting[unit.key]
-                and unit.key not in decode_futures
+                and unit.key not in submitted
                 and unit.key not in failed
             ):
-                decode_futures[unit.key] = self._decode_pool.submit(decode, unit)
+                submitted.add(unit.key)
+                ready.append(unit)
+
+        def submit_ready() -> None:
+            # Units made ready by the same wait() round that share a batch
+            # key decode as one task (one lockstep Huffman pass).
+            for task in batch_units(ready):
+                decode_tasks.append((task, self._decode_pool.submit(decode, task)))
+            ready.clear()
 
         for unit in pending:
-            submit_ready(unit)
+            mark_ready(unit)
+        submit_ready()
         by_window: dict[int, list] = {}
         for unit in pending:
             for idx in waiting[unit.key]:
@@ -299,7 +315,7 @@ class PrefetchPipeline:
             return DeadlineExceeded(
                 f"request deadline of {deadline.seconds:.3f}s expired with "
                 f"{len(in_flight)} fetch window(s) outstanding and "
-                f"{len(decode_futures)} decode(s) submitted"
+                f"{len(submitted)} decode(s) submitted"
             )
 
         in_flight = set(fetch_futures)
@@ -318,7 +334,7 @@ class PrefetchPipeline:
                     if not allow_partial:
                         raise deadline_error()
                     for key, waits in waiting.items():
-                        if waits and key not in decode_futures:
+                        if waits and key not in submitted:
                             failed.setdefault(key, deadline_error())
                     break
                 for future in done:
@@ -336,7 +352,7 @@ class PrefetchPipeline:
                                 # bad ones, so its window effectively
                                 # landed.
                                 waiting[unit.key].discard(idx)
-                                submit_ready(unit)
+                                mark_ready(unit)
                             else:
                                 failed.setdefault(unit.key, exc)
                         continue
@@ -348,24 +364,32 @@ class PrefetchPipeline:
                     for unit in by_window.get(idx, ()):
                         waiting[unit.key].discard(idx)
                         if expired:
-                            if unit.key not in decode_futures:
+                            if unit.key not in submitted:
                                 failed.setdefault(unit.key, deadline_error())
                         else:
-                            submit_ready(unit)
-            for key, future in decode_futures.items():
+                            mark_ready(unit)
+                submit_ready()
+            for task, future in decode_tasks:
                 timeout = None if deadline is None else max(0.0, deadline.remaining())
                 try:
-                    results[key] = future.result(timeout=timeout)
+                    task_results, task_errors = future.result(timeout=timeout)
                 except _FuturesTimeout:
                     stats.deadline_hit = True
                     if not future.cancel():
                         future.add_done_callback(reap_decode_straggler)
                     if not allow_partial:
                         raise deadline_error() from None
-                    failed.setdefault(key, deadline_error())
+                    for unit in task:
+                        failed.setdefault(unit.key, deadline_error())
+                    continue
                 except Exception as exc:
                     if not allow_partial:
                         raise
+                    for unit in task:
+                        failed.setdefault(unit.key, exc)
+                    continue
+                results.update(task_results)
+                for key, exc in task_errors.items():
                     failed.setdefault(key, exc)
         except Exception:
             # A failed fetch or decode abandons the request: drop anything

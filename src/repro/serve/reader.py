@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.container import MASK_PREFIX, PartIntegrityError
-from repro.core.plan import normalize_region, region_slices
+from repro.core.plan import normalize_region
 from repro.engine import LazyBatchArchive, codec_for_method, default_shard_opener
 from repro.engine.archive import _entry_decompress  # registry-routed full decode
 from repro.serve.breaker import CircuitBreaker, breaking_opener
@@ -434,8 +434,7 @@ class ArchiveReader:
         )
         if pstats.unit_errors:
             self._check_degradable(plan.units, pstats.unit_errors)
-        lvl = codec._assemble_level(comp, level, results, None)
-        data = np.ascontiguousarray(lvl.data[region_slices(box)])
+        data = codec._assemble_region(comp, level, box, results, None)
         errors = []
         if pstats.unit_errors:
             origin = tuple(lo for lo, _hi in box)

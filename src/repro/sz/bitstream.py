@@ -147,19 +147,25 @@ def peek_bits(buf: np.ndarray, bit_offsets: np.ndarray, width: int) -> np.ndarra
     if not 1 <= width <= 24:
         raise ValueError(f"peek width must be in [1, 24], got {width}")
     offsets = np.asarray(bit_offsets, dtype=np.int64)
-    byte_idx = offsets >> 3
-    # Clip so the 4-byte gather stays in bounds even for (invalid) offsets
-    # past the payload; those lanes return padding bits and are ignored by
-    # the caller's active mask.
-    byte_idx = np.minimum(byte_idx, buf.size - _PEEK_PAD)
-    b0 = buf[byte_idx].astype(np.uint32)
-    b1 = buf[byte_idx + 1].astype(np.uint32)
-    b2 = buf[byte_idx + 2].astype(np.uint32)
-    b3 = buf[byte_idx + 3].astype(np.uint32)
-    word = (b0 << np.uint32(24)) | (b1 << np.uint32(16)) | (b2 << np.uint32(8)) | b3
+    word = gather_words(buf, offsets >> 3)
     phase = (offsets & 7).astype(np.uint32)
     shifted = word >> (np.uint32(32 - width) - phase)
     return shifted & np.uint32((1 << width) - 1)
+
+
+def gather_words(buf: np.ndarray, byte_idx: np.ndarray) -> np.ndarray:
+    """Big-endian ``uint32`` words at ``byte_idx`` via four byte gathers.
+
+    The window-free equivalent of ``window_words(buf)[byte_idx]``.  Indices
+    are clamped into ``[0, buf.size - 4]`` so (invalid) offsets past the
+    payload read padding instead of raising ``IndexError``.
+    """
+    byte_idx = np.clip(byte_idx, 0, buf.size - _PEEK_PAD)
+    word = buf[byte_idx].astype(np.uint32)
+    for k in range(1, 4):
+        word <<= np.uint32(8)
+        word |= buf[byte_idx + k]
+    return word
 
 
 def unpack_to_bits(buffer: bytes, total_bits: int) -> np.ndarray:

@@ -37,17 +37,31 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.sz import lossless, stream
-from repro.sz.huffman import DEFAULT_MAX_LEN, HuffmanCodec, HuffmanEncoded, SharedHuffmanTable
+from repro.sz.huffman import (
+    DEFAULT_MAX_LEN,
+    HuffmanCodec,
+    HuffmanEncoded,
+    SharedHuffmanTable,
+    check_stream,
+    decode_streams,
+)
 from repro.sz.interp import interp_compress, interp_decompress
 from repro.sz.predictor import SUPPORTED_NDIM, lorenzo_forward, lorenzo_inverse
 from repro.sz.quantizer import ErrorMode, dequantize, quantize, resolve_error_bound
 from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_error_bound, check_finite, ensure_ndarray
+
+#: Streams per lockstep pass in :meth:`SZCompressor.decompress_many`.  A
+#: pass holds its streams' payloads, round-major symbols and decoded
+#: symbol arrays at once, so this bounds decode working memory: four 64³
+#: bricks per pass keep an 8-brick ROI read's peak below decoding them
+#: one by one and assembling the whole level.
+STREAMS_PER_PASS = 4
 
 
 @dataclass(frozen=True)
@@ -443,77 +457,106 @@ class SZCompressor:
         ``shared_tables`` supplies the level's shared Huffman table for
         streams written with ``SEC_TABLE_REF``; per-stream blobs ignore it.
         """
-        parsed = stream.parse(blob)
-        header = parsed.header
-        shape = header.shape
-        if header.flags & stream.FLAG_EMPTY:
-            return np.zeros(shape, dtype=header.dtype)
-        if header.flags & stream.FLAG_LOSSLESS_FALLBACK:
-            codec, payload = parsed.section(stream.SEC_RAW)
-            raw = lossless.decompress_bytes(codec, payload)
-            return np.frombuffer(raw, dtype=header.dtype).reshape(shape).copy()
+        return self.decompress_many([blob], timings, shared_tables)[0]
 
-        lattice_shape = shape
-        values = self._decode_lattice(parsed, lattice_shape, timings, shared_tables)
-        if header.mode == ErrorMode.PW_REL.value:
-            with timed(timings, "transform"):
-                n = values.size
-                codec, payload = parsed.section(stream.SEC_SIGNS)
-                signs = np.unpackbits(
-                    np.frombuffer(lossless.decompress_bytes(codec, payload), dtype=np.uint8)
-                )[:n].astype(bool)
-                codec, payload = parsed.section(stream.SEC_ZERO_MASK)
-                zeros = np.unpackbits(
-                    np.frombuffer(lossless.decompress_bytes(codec, payload), dtype=np.uint8)
-                )[:n].astype(bool)
-                mags = np.exp(values.ravel())
-                out = np.where(signs, -mags, mags)
-                out[zeros] = 0.0
-                return out.reshape(shape).astype(header.dtype)
-        return values.astype(header.dtype, copy=False)
-
-    def _decode_lattice(
+    def decompress_many(
         self,
-        parsed: stream.Stream,
-        shape,
-        timings: TimingRecord | None,
+        blobs: Sequence[bytes],
+        timings: TimingRecord | None = None,
         shared_tables: SharedTableResolver | None = None,
-    ) -> np.ndarray:
-        header = parsed.header
-        meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
-        with timed(timings, "decode"):
-            if stream.SEC_TABLE_REF in parsed.sections:
-                if shared_tables is None:
-                    raise ValueError(
-                        "stream was written in shared-table mode (SEC_TABLE_REF) "
-                        "but no shared-table resolver was provided"
-                    )
-                ref = stream.unpack_table_ref(parsed.section(stream.SEC_TABLE_REF)[1])
-                lengths = shared_tables.resolve(ref)["code_lengths"]
-            else:
-                codec_tag, payload = parsed.section(stream.SEC_CODE_LENGTHS)
-                lengths = np.frombuffer(
-                    lossless.decompress_bytes(codec_tag, payload), dtype=np.uint8
+    ) -> list[np.ndarray]:
+        """Reconstruct several blobs, Huffman-decoding them together.
+
+        Bit-identical to ``[self.decompress(b, ...) for b in blobs]``.  The
+        blobs are taken :data:`STREAMS_PER_PASS` at a time: each group is
+        parsed, Huffman-decoded in one lockstep pass
+        (:func:`~repro.sz.huffman.decode_streams`), then reconstructed
+        stream by stream.  A corrupt blob fails the whole call; decode
+        singly to pin it.
+        """
+        blobs = list(blobs)
+        out: list[np.ndarray] = []
+        for start in range(0, len(blobs), STREAMS_PER_PASS):
+            out.extend(
+                self._decompress_pass(
+                    blobs[start : start + STREAMS_PER_PASS], timings, shared_tables
                 )
-            # Shared LRU codec: the hundreds of per-group streams in one TAC
-            # blob frequently repeat code-length tables (and in shared-table
-            # mode reference the same table by construction), and the dense
-            # decode table is the expensive part of decoder setup.
-            codec = HuffmanCodec.cached(lengths, meta["max_len"])
-            codec_tag, payload = parsed.section(stream.SEC_BLOCK_OFFSETS)
-            n_blocks = -(-meta["n_symbols"] // meta["block_size"]) if meta["n_symbols"] else 0
-            deltas = lossless.unpack_int_array(codec_tag, payload, np.int64, n_blocks)
-            offsets = np.cumsum(deltas)
-            codec_tag, payload = parsed.section(stream.SEC_PAYLOAD)
-            bitstream = lossless.decompress_bytes(codec_tag, payload)
-            encoded = HuffmanEncoded(
-                payload=bitstream,
-                total_bits=meta["total_bits"],
-                block_offsets=offsets,
-                n_symbols=meta["n_symbols"],
-                block_size=meta["block_size"],
             )
-            symbols = codec.decode(encoded)
+        return out
+
+    def _decompress_pass(self, blobs, timings, shared_tables) -> list[np.ndarray]:
+        out: list = [None] * len(blobs)
+        lattice = []
+        for idx, blob in enumerate(blobs):
+            parsed = stream.parse(blob)
+            header = parsed.header
+            if header.flags & stream.FLAG_EMPTY:
+                out[idx] = np.zeros(header.shape, dtype=header.dtype)
+            elif header.flags & stream.FLAG_LOSSLESS_FALLBACK:
+                codec, payload = parsed.section(stream.SEC_RAW)
+                raw = lossless.decompress_bytes(codec, payload)
+                out[idx] = np.frombuffer(raw, dtype=header.dtype).reshape(header.shape).copy()
+            else:
+                lattice.append((idx, parsed))
+        if not lattice:
+            return out
+        with timed(timings, "decode"):
+            inputs = [self._huffman_input(parsed, shared_tables) for _idx, parsed in lattice]
+            symbols = decode_streams([(codec, encoded) for _meta, codec, encoded in inputs])
+        for k, ((idx, parsed), (meta, _codec, _encoded)) in enumerate(zip(lattice, inputs)):
+            values = self._reconstruct(parsed, meta, symbols[k], timings)
+            symbols[k] = None  # free each symbol stream once reconstructed
+            out[idx] = self._finish(parsed, values, timings)
+        return out
+
+    def _huffman_input(
+        self, parsed: stream.Stream, shared_tables: SharedTableResolver | None
+    ) -> tuple[dict, HuffmanCodec, HuffmanEncoded]:
+        """A lattice stream's meta, decoder codec and Huffman stream."""
+        meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
+        n_values = int(np.prod(parsed.header.shape))
+        if meta["n_symbols"] != n_values:
+            raise ValueError(f"corrupt stream: {meta['n_symbols']} symbols for {n_values} values")
+        codec_tag, payload = parsed.section(stream.SEC_PAYLOAD)
+        bitstream = lossless.decompress_bytes(codec_tag, payload)
+        # Checked before the offset and symbol arrays are sized by these
+        # fields (the code table checks its own width).
+        check_stream(meta["n_symbols"], meta["block_size"], meta["total_bits"], len(bitstream))
+        if stream.SEC_TABLE_REF in parsed.sections:
+            if shared_tables is None:
+                raise ValueError(
+                    "stream was written in shared-table mode (SEC_TABLE_REF) "
+                    "but no shared-table resolver was provided"
+                )
+            ref = stream.unpack_table_ref(parsed.section(stream.SEC_TABLE_REF)[1])
+            lengths = shared_tables.resolve(ref)["code_lengths"]
+        else:
+            codec_tag, payload = parsed.section(stream.SEC_CODE_LENGTHS)
+            lengths = np.frombuffer(
+                lossless.decompress_bytes(codec_tag, payload), dtype=np.uint8
+            )
+        # Shared LRU codec: the hundreds of per-group streams in one TAC
+        # blob frequently repeat code-length tables (and in shared-table
+        # mode reference the same table by construction), and the dense
+        # decode table is the expensive part of decoder setup.
+        codec = HuffmanCodec.cached(lengths, meta["max_len"])
+        codec_tag, payload = parsed.section(stream.SEC_BLOCK_OFFSETS)
+        n_blocks = -(-meta["n_symbols"] // meta["block_size"])
+        deltas = lossless.unpack_int_array(codec_tag, payload, np.int64, n_blocks)
+        encoded = HuffmanEncoded(
+            payload=bitstream,
+            total_bits=meta["total_bits"],
+            block_offsets=np.cumsum(deltas),
+            n_symbols=meta["n_symbols"],
+            block_size=meta["block_size"],
+        )
+        return meta, codec, encoded
+
+    def _reconstruct(
+        self, parsed: stream.Stream, meta: dict, symbols: np.ndarray, timings
+    ) -> np.ndarray:
+        """Decoded symbols → the float64 lattice reconstruction."""
+        header = parsed.header
         with timed(timings, "reconstruct"):
             radius = meta["radius"]
             escape = 2 * radius
@@ -523,17 +566,37 @@ class SZCompressor:
             residuals -= radius
             if meta["n_outliers"]:
                 codec_tag, payload = parsed.section(stream.SEC_OUTLIERS)
-                outliers = lossless.unpack_int_array(codec_tag, payload, np.int64, meta["n_outliers"])
+                outliers = lossless.unpack_int_array(
+                    codec_tag, payload, np.int64, meta["n_outliers"]
+                )
                 positions = np.flatnonzero(symbols == escape)
                 if positions.size != outliers.size:
                     raise ValueError("outlier count mismatch (corrupt stream)")
                 residuals[positions] = outliers
             if meta["predictor"] == "interp":
-                values = interp_decompress(residuals, header.eb_abs, shape)
-            else:
-                lattice = lorenzo_inverse(residuals.reshape(shape))
-                values = dequantize(lattice, header.eb_abs, dtype=np.float64)
-        return values
+                return interp_decompress(residuals, header.eb_abs, header.shape)
+            lattice = lorenzo_inverse(residuals.reshape(header.shape))
+            return dequantize(lattice, header.eb_abs, dtype=np.float64)
+
+    def _finish(self, parsed: stream.Stream, values: np.ndarray, timings) -> np.ndarray:
+        """Undo the pw_rel log transform (if any) and cast to the stored dtype."""
+        header = parsed.header
+        if header.mode != ErrorMode.PW_REL.value:
+            return values.astype(header.dtype, copy=False)
+        with timed(timings, "transform"):
+            n = values.size
+            codec, payload = parsed.section(stream.SEC_SIGNS)
+            signs = np.unpackbits(
+                np.frombuffer(lossless.decompress_bytes(codec, payload), dtype=np.uint8)
+            )[:n].astype(bool)
+            codec, payload = parsed.section(stream.SEC_ZERO_MASK)
+            zeros = np.unpackbits(
+                np.frombuffer(lossless.decompress_bytes(codec, payload), dtype=np.uint8)
+            )[:n].astype(bool)
+            mags = np.exp(values.ravel())
+            out = np.where(signs, -mags, mags)
+            out[zeros] = 0.0
+            return out.reshape(header.shape).astype(header.dtype)
 
     # ------------------------------------------------------------------
     def _stats(self, arr, blob, header, raw_sections, n_outliers, timings) -> CompressionStats:

@@ -18,6 +18,23 @@ pure-NumPy implementation fast:
    O(block_size) rounds of vectorized work over ``n/block_size`` lanes.
    With ``block_size ~ sqrt(n)`` both factors stay small.
 
+3. **Multi-stream lanes.**  The round count, not the lane count, is what
+   a small stream pays for, so :func:`decode_streams` decodes many
+   streams in one pass: their payloads are concatenated, every block of
+   every stream is a lane with its own start, round count (the ragged
+   last block has fewer) and base offset into the concatenated
+   ``table_sym``/``table_len`` of the distinct codecs.  Lanes are sorted
+   by round count, so the active set is a prefix that shrinks at known
+   rounds.  :meth:`HuffmanCodec.decode` is the one-stream call.
+
+4. **Checks after the pass, not per round.**  Unassigned code space has
+   the sentinel length :data:`_UNASSIGNED_LEN` in the decode table, so a
+   lane that hits it ends far past any payload; and every lane must end
+   exactly at the next block's offset (the last at ``total_bits``).
+   Both are one comparison over the lane ends after the pass, and either
+   failure raises ``ValueError("corrupt Huffman stream ...")`` — a
+   shifted block offset cannot decode silently wrong.
+
 The offsets cost 8 bytes per block (< 0.5% overhead for the default block
 size) and are accounted for in the compressed size.
 """
@@ -27,16 +44,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from repro.sz import bitstream
-from repro.sz.bitstream import (
-    as_peekable,
-    pack_codes,
-    peek_bits,
-    window_words,
-)
+from repro.sz.bitstream import _PEEK_PAD, gather_words, pack_codes, window_words
 
 #: Default cap on codeword length; the decode table is ``2**DEFAULT_MAX_LEN``
 #: entries (65536 at 16 → ~768 KB of int32/int64 tables).
@@ -46,6 +59,16 @@ DEFAULT_MAX_LEN = 16
 #: the default ``max_len=16`` each cached codec holds ~768 KB of decode
 #: tables, so the cache tops out around 24 MB.
 DECODE_CACHE_SIZE = 32
+
+#: Widest code the decoder peeks: a 32-bit window word holds a code of up
+#: to 24 bits at any of the 8 bit phases.
+MAX_DECODE_LEN = 24
+
+#: Decode-table length of unassigned code space.  A lane that peeks into
+#: it jumps this far past any payload (2**40 bits is 128 GiB), so one check
+#: after the lockstep pass replaces a per-round one; int64 positions hold
+#: a hit in every round of any lane shorter than 2**23 rounds.
+_UNASSIGNED_LEN = 1 << 40
 
 #: Bounds on the adaptive decode block size.
 _MIN_BLOCK = 64
@@ -284,12 +307,17 @@ class HuffmanCodec:
         starting at 0 (each code's ``[lo, hi)`` table interval abuts the
         previous one), so the whole table is two ``np.repeat`` fills — no
         per-symbol Python loop.  Any unassigned slack past the Kraft sum
-        stays zero (length 0 marks undecodable space).
+        gets the sentinel length :data:`_UNASSIGNED_LEN`.
         """
+        if not 1 <= self.max_len <= MAX_DECODE_LEN:
+            raise ValueError(
+                f"max_len={self.max_len} is outside the decoder's peek width "
+                f"of 1..{MAX_DECODE_LEN} bits"
+            )
         size = 1 << self.max_len
         table_sym = np.zeros(size, dtype=np.int32)
         # int64 lengths so ``positions += lens`` in decode needs no cast.
-        table_len = np.zeros(size, dtype=np.int64)
+        table_len = np.full(size, _UNASSIGNED_LEN, dtype=np.int64)
         present = np.flatnonzero(self.lengths)
         if present.size:
             plens = self.lengths[present].astype(np.int64)
@@ -300,161 +328,242 @@ class HuffmanCodec:
             used = int(spans.sum())
             table_sym[:used] = np.repeat(syms.astype(np.int32), spans)
             table_len[:used] = np.repeat(lens_sorted, spans)
-        self._table_sym = table_sym
+        # ``_table_sym`` marks the table built (decode tests it), so it is
+        # published last: a concurrent decode never sees half a table.
         self._table_len = table_len
+        self._table_sym = table_sym
 
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
         """Decode a stream produced by :meth:`encode` back to symbols."""
-        n = encoded.n_symbols
-        out_dtype = np.int32
+        return decode_streams([(self, encoded)])[0]
+
+
+def check_stream(n_symbols: int, block_size: int, total_bits: int, payload_bytes: int) -> None:
+    """Reject stream geometry no encoder writes, before anything is sized by it.
+
+    Every symbol costs at least one bit and the bits live in the payload,
+    so ``n_symbols <= total_bits <= 8 * payload_bytes`` bounds the output
+    allocation by the bytes actually present.
+    """
+    if block_size <= 0:
+        raise ValueError(f"corrupt Huffman stream: block_size={block_size} must be positive")
+    if not 0 <= n_symbols <= total_bits <= 8 * payload_bytes:
+        raise ValueError(
+            f"corrupt Huffman stream: need n_symbols <= total_bits <= 8*payload bytes, "
+            f"got {n_symbols} symbols, {total_bits} bits, {payload_bytes} bytes"
+        )
+
+
+def decode_streams(
+    streams: Sequence[tuple[HuffmanCodec, HuffmanEncoded]],
+) -> list[np.ndarray]:
+    """Decode ``(codec, encoded)`` pairs in one lockstep pass.
+
+    Bit-identical to ``[codec.decode(enc) for codec, enc in streams]``:
+    every block of every stream becomes a lane over one concatenated
+    payload, so the pass runs ``max(block_size)`` rounds instead of the
+    sum.  Raises ``ValueError`` if any stream is corrupt; which one is not
+    reported (decode singly to pin it).
+    """
+    results = [np.zeros(0, dtype=np.int32) for _ in streams]
+    live = []
+    for idx, (codec, enc) in enumerate(streams):
+        n, block = enc.n_symbols, enc.block_size
+        check_stream(n, block, enc.total_bits, len(enc.payload))
         if n == 0:
-            return np.zeros(0, dtype=out_dtype)
-        if self._table_sym is None:
-            self._build_table()
-        buf = as_peekable(encoded.payload)
-        block = encoded.block_size
-        n_blocks = encoded.block_offsets.size
-        expected_blocks = -(-n // block)
-        if n_blocks != expected_blocks:
+            continue
+        offsets = np.asarray(enc.block_offsets, dtype=np.int64)
+        if offsets.size != -(-n // block):
             raise ValueError("block offset table does not match symbol count")
-        tail = n - block * (n_blocks - 1)  # symbols in the (ragged) last block
-        offsets = encoded.block_offsets.astype(np.int64)
-        # Round-major layout: each round writes one contiguous row (a
-        # strided column write is ~40% slower per np.take); the stitch at
-        # the end transposes back to block-major stream order.
-        out = np.empty((block, n_blocks), dtype=out_dtype)
-        width = self.max_len
-        # One big-endian 32-bit window per byte offset: each round's peek
-        # is a single gather plus two shifts.  Payloads too large to
-        # window in one array are decoded in contiguous lane chunks, each
-        # with a window over its own byte span, so snapshot-scale streams
-        # keep the one-gather fast path.  Widths over 24 bits cannot use
-        # the 32-bit window (phase 7 + width must fit); that path falls
-        # back to 4-byte-gather peeks and raises peek_bits' width error,
-        # as decode always has.
-        limit = bitstream.WINDOW_WORDS_LIMIT
-        n_chunks = -(-buf.size // max(limit, 1))
-        if width > 24:
-            self._decode_span(buf, None, offsets.copy(), out, 0, n_blocks, tail)
-        elif buf.size <= limit:
-            self._decode_span(
-                buf, window_words(buf), offsets.copy(), out, 0, n_blocks, tail
+        if offsets[0] < 0 or offsets[-1] > enc.total_bits or np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError(
+                "corrupt Huffman stream (block offsets out of order or past the payload)"
             )
-        elif n_blocks // n_chunks >= _MIN_CHUNK_LANES:
-            self._decode_chunked(buf, encoded.total_bits, offsets, out, tail, limit)
+        if codec._table_sym is None:
+            codec._build_table()
+        live.append((idx, codec, enc, offsets))
+    if not live:
+        return results
+
+    # Lane arrays in stream order.  Streams sit back to back in one padded
+    # buffer, so lane starts and expected ends are globally monotone.
+    tables: dict[int, int] = {}
+    n_table = 0
+    buf = np.zeros(sum(len(enc.payload) + _PEEK_PAD for _i, _c, enc, _o in live), np.uint8)
+    starts, ends, rounds, table_base, widths, spans = [], [], [], [], [], []
+    byte_base = n_lanes = 0
+    for idx, codec, enc, offsets in live:
+        buf[byte_base : byte_base + len(enc.payload)] = np.frombuffer(enc.payload, np.uint8)
+        bit_base = byte_base << 3
+        starts.append(offsets + bit_base)
+        ends.append(np.append(offsets[1:], enc.total_bits) + bit_base)
+        lane_rounds = np.full(offsets.size, enc.block_size, dtype=np.int64)
+        lane_rounds[-1] = enc.n_symbols - enc.block_size * (offsets.size - 1)
+        rounds.append(lane_rounds)
+        if id(codec) not in tables:
+            tables[id(codec)] = n_table
+            n_table += codec._table_sym.size
+        table_base.append(np.full(offsets.size, tables[id(codec)], dtype=np.uint32))
+        widths.append(np.full(offsets.size, 32 - codec.max_len, dtype=np.uint32))
+        results[idx] = np.empty(enc.n_symbols, dtype=np.int32)
+        spans.append((idx, enc.block_size, n_lanes, n_lanes + offsets.size))
+        n_lanes += offsets.size
+        byte_base += len(enc.payload) + _PEEK_PAD
+    starts, ends, rounds = (np.concatenate(a) for a in (starts, ends, rounds))
+    codecs = list({id(c): c for _i, c, _e, _o in live}.values())
+    if len(codecs) == 1:
+        table_sym, table_len = codecs[0]._table_sym, codecs[0]._table_len
+        base = None
+    else:
+        table_sym = np.concatenate([c._table_sym for c in codecs])
+        table_len = np.concatenate([c._table_len for c in codecs])
+        base = np.concatenate(table_base)
+    down = np.concatenate(widths)
+    if np.all(down == down[0]):
+        down = down[0]
+
+    for lo, hi, words, rebase in _lane_passes(buf, starts, ends):
+        order = np.argsort(-rounds[lo:hi], kind="stable")
+        positions = starts[lo:hi][order] - (rebase << 3)
+        lane_rounds = rounds[lo:hi][order]
+        out = np.empty((int(lane_rounds[0]), hi - lo), dtype=np.int32)
+        _lockstep(
+            buf,
+            words,
+            positions,
+            lane_rounds,
+            out,
+            table_sym,
+            table_len,
+            down if np.isscalar(down) else down[lo:hi][order],
+            None if base is None else base[lo:hi][order],
+        )
+        if positions.max() >= _UNASSIGNED_LEN:
+            raise ValueError("corrupt Huffman stream (unassigned code space)")
+        if not np.array_equal(positions, ends[lo:hi][order] - (rebase << 3)):
+            raise ValueError(
+                "corrupt Huffman stream (a block does not end at the next block offset)"
+            )
+        # Stitch rounds back into block-major stream order.  The stable
+        # sort keeps each stream's equal-round full blocks adjacent, so
+        # they are one column range; a ragged last block is one column.
+        column = np.empty(hi - lo, dtype=np.int64)
+        column[order] = np.arange(hi - lo)
+        for idx, block, first, last in spans:
+            a, b = max(lo, first), min(hi, last)
+            if a >= b:
+                continue
+            res = results[idx]
+            n_blocks = last - first
+            n_full = res.size // block
+            full = min(b, first + n_full) - a
+            if full > 0:
+                c0 = column[a - lo]
+                j0 = (a - first) * block
+                columns = out[:block, c0 : c0 + full]
+                res[j0 : j0 + full * block].reshape(full, block)[...] = columns.T
+            if b == last and n_full < n_blocks:
+                res[n_full * block :] = out[: res.size - n_full * block, column[b - 1 - lo]]
+    return results
+
+
+def _lane_passes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Yield ``(lo, hi, words, rebase)`` lane ranges with their peek source.
+
+    Small buffers get one pass over a whole-buffer window.  Buffers over
+    :data:`~repro.sz.bitstream.WINDOW_WORDS_LIMIT` are split into
+    contiguous lane chunks, each windowed over just its byte span
+    (positions rebased by ``rebase`` bytes), so window memory stays
+    bounded while every round is one gather.  A lone lane whose span
+    exceeds the limit, or too few lanes per chunk to amortize the extra
+    rounds, fall back to 4-byte gathers (``words is None``).
+    """
+    limit = bitstream.WINDOW_WORDS_LIMIT
+    n_lanes = starts.size
+    if buf.size <= limit:
+        yield 0, n_lanes, window_words(buf), 0
+        return
+    if n_lanes // -(-buf.size // max(limit, 1)) < _MIN_CHUNK_LANES:
+        yield 0, n_lanes, None, 0
+        return
+    lo = 0
+    while lo < n_lanes:
+        lo_byte = int(starts[lo]) >> 3
+        # Largest hi with the span's window (end byte + 4-byte gather
+        # slack, rebased to lo_byte) within the limit.
+        hi = int(np.searchsorted(ends, (lo_byte + limit - 4) * 8, side="right"))
+        hi = min(max(hi, lo + 1), n_lanes)
+        hi_byte = (int(ends[hi - 1]) + 7) >> 3
+        if hi == lo + 1 and hi_byte + 4 - lo_byte > limit:
+            yield lo, hi, None, 0
         else:
-            # Too few lanes per chunk for the chunked windows to pay off —
-            # the whole-stream 4-gather peek keeps a single round schedule.
-            self._decode_span(buf, None, offsets.copy(), out, 0, n_blocks, tail)
-        # Stitch rounds back into block-major stream order, trimming the
-        # ragged tail (the transpose's reshape is the single copy).
-        if tail == block:
-            return out.T.reshape(-1)
-        head = out[:, :-1].T.reshape(-1)
-        return np.concatenate([head, out[:tail, -1]])
+            yield lo, hi, window_words(buf[lo_byte : hi_byte + 4]), lo_byte
+        lo = hi
 
-    def _decode_chunked(
-        self,
-        buf: np.ndarray,
-        total_bits: int,
-        offsets: np.ndarray,
-        out: np.ndarray,
-        tail: int,
-        limit: int,
-    ) -> None:
-        """Windowed decode in lane chunks for over-limit payloads.
 
-        Blocks are contiguous in the bit stream, so a contiguous lane
-        span ``[i, j)`` only touches payload bytes between its first
-        block's start and its last block's end — both known from the
-        block-offset table before any decoding.  Each chunk builds a
-        32-bit window over just its byte span (positions rebased to the
-        slice), bounding window memory by ``limit`` while every round
-        stays a single gather.  A single block whose own span exceeds the
-        limit (pathological block sizes) degrades to 4-byte-gather peeks
-        for that chunk alone.
-        """
-        n_blocks = offsets.size
-        block = out.shape[0]
-        ends = np.empty(n_blocks, dtype=np.int64)
-        ends[:-1] = offsets[1:]
-        ends[-1] = total_bits
-        start = 0
-        while start < n_blocks:
-            lo_byte = int(offsets[start]) >> 3
-            # Largest j with the span's window (end byte + 4-byte gather
-            # slack, rebased to lo_byte) within the limit.
-            j = int(np.searchsorted(ends, (lo_byte + limit - 4) * 8, side="right"))
-            j = min(max(j, start + 1), n_blocks)
-            span_tail = tail if j == n_blocks else block
-            positions = offsets[start:j].copy()
-            hi_byte = (int(ends[j - 1]) + 7) >> 3
-            if j == start + 1 and hi_byte + 4 - lo_byte > limit:
-                self._decode_span(buf, None, positions, out, start, j - start, span_tail)
-            else:
-                words = window_words(buf[lo_byte : hi_byte + 4])
-                positions -= lo_byte << 3
-                self._decode_span(buf, words, positions, out, start, j - start, span_tail)
-            start = j
+def _lockstep(
+    buf: np.ndarray,
+    words: np.ndarray | None,
+    positions: np.ndarray,
+    rounds: np.ndarray,
+    out: np.ndarray,
+    table_sym: np.ndarray,
+    table_len: np.ndarray,
+    down,
+    base: np.ndarray | None,
+) -> None:
+    """The lockstep rounds: every active lane decodes one symbol per round.
 
-    def _decode_span(
-        self,
-        buf: np.ndarray,
-        words: np.ndarray | None,
-        positions: np.ndarray,
-        out: np.ndarray,
-        lane0: int,
-        m0: int,
-        tail_rounds: int,
-    ) -> None:
-        """Lockstep rounds over the contiguous lane span ``[lane0, lane0+m0)``.
+    Lanes arrive sorted by round count (descending), so the active set is
+    a prefix that shrinks at precomputed rounds — no per-round scan.  Each
+    round is whole-array work: peek ``words[pos >> 3] << (pos & 7) >>
+    down`` (``down = 32 - width``, per lane when widths differ), add the
+    lane's ``base`` into the concatenated tables (``None``: one table),
+    look up symbol and length, advance.  Unassigned code space has length
+    :data:`_UNASSIGNED_LEN`, so a lane that hits it ends far past any
+    payload and the caller's one check after the pass finds it.
+    ``positions`` is updated in place to each lane's end; ``words=None``
+    peeks with 4-byte gathers from ``buf`` instead.
+    """
+    m = positions.size
+    # Per-lane arrays (scalar ``down`` / ``base=None`` pass through the
+    # prefix slicing untouched).
+    lane_arrays = [
+        positions,
+        np.empty(m, dtype=np.int64),  # byte index
+        np.empty(m, dtype=np.uint32),  # bit phase
+        np.empty(m, dtype=np.uint32),  # peek
+        np.empty(m, dtype=np.int64),  # code length
+        down,
+        base,
+    ]
 
-        Every active lane decodes one symbol per round via whole-array
-        gathers.  The schedule is known up front: all lanes run for
-        ``tail_rounds`` rounds, then the span's last lane drops out (it is
-        the stream's ragged final block) and the remaining contiguous
-        prefix runs to the full block length — no per-round active-set
-        scan.  Spans that do not contain the ragged block pass
-        ``tail_rounds == block`` and never shrink.  ``positions`` must be
-        rebased to ``words``' byte origin when a sliced window is used.
-        """
-        table_sym, table_len = self._table_sym, self._table_len
-        block = out.shape[0]
-        width = self.max_len
-        down = np.uint32(32 - width)
-        # Reused per-round scratch (views shrink with the active lane set).
-        byte_idx = np.empty(m0, dtype=np.int64)
-        peeks = np.empty(m0, dtype=np.uint32)
-        phase = np.empty(m0, dtype=np.uint32)
-        lens = np.empty(m0, dtype=np.int64)
-        m = m0
-        pos_v = positions
-        bidx_v, peek_v, ph_v, lens_v = byte_idx, peeks, phase, lens
-        for r in range(block):
-            if r == tail_rounds:  # only reachable when tail_rounds < block
-                if m == 1:
-                    break
-                m -= 1
-                pos_v = positions[:m]
-                bidx_v, peek_v = byte_idx[:m], peeks[:m]
-                ph_v, lens_v = phase[:m], lens[:m]
-            np.right_shift(pos_v, 3, out=bidx_v)
-            np.bitwise_and(pos_v, 7, out=ph_v, casting="unsafe")
-            if words is not None:
-                # mode="clip" clamps like peek_bits: corrupt/oversized
-                # offsets read the window's final words (and fail the
-                # unassigned-space check below on the zero padding)
-                # instead of raising IndexError.
-                np.take(words, bidx_v, out=peek_v, mode="clip")
-                np.left_shift(peek_v, ph_v, out=peek_v)
-                np.right_shift(peek_v, down, out=peek_v)
-            else:
-                peek_v[...] = peek_bits(buf, pos_v, width)
-            np.take(table_len, peek_v, out=lens_v)
-            if not int(lens_v.min()):
-                raise ValueError("corrupt Huffman stream (unassigned code space)")
-            np.take(table_sym, peek_v, out=out[r, lane0 : lane0 + m])
-            pos_v += lens_v
+    def prefix(k: int) -> list:
+        return [a[:k] if isinstance(a, np.ndarray) else a for a in lane_arrays]
+
+    # Round at which the active prefix shrinks → its new length.
+    cuts = np.flatnonzero(rounds[1:] != rounds[:-1]) + 1
+    shrink = {int(rounds[c]): int(c) for c in cuts}
+    pos_v, bidx_v, ph_v, peek_v, lens_v, down_v, base_v = prefix(m)
+    for r in range(int(rounds[0])):
+        if r in shrink:
+            m = shrink[r]
+            pos_v, bidx_v, ph_v, peek_v, lens_v, down_v, base_v = prefix(m)
+        np.right_shift(pos_v, 3, out=bidx_v)
+        np.bitwise_and(pos_v, 7, out=ph_v, casting="unsafe")
+        if words is not None:
+            # mode="clip" clamps like gather_words: corrupt offsets read
+            # the window's final words instead of raising IndexError.
+            words.take(bidx_v, out=peek_v, mode="clip")
+        else:
+            peek_v[...] = gather_words(buf, bidx_v)
+        np.left_shift(peek_v, ph_v, out=peek_v)
+        np.right_shift(peek_v, down_v, out=peek_v)
+        if base_v is not None:
+            np.add(peek_v, base_v, out=peek_v)
+        table_len.take(peek_v, out=lens_v)
+        table_sym.take(peek_v, out=out[r, :m])
+        pos_v += lens_v
 
 
 class SharedHuffmanTable:

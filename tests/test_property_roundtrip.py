@@ -27,7 +27,7 @@ from repro.core.blocks import AXIS_PERMS, BlockExtraction, gather_blocks, invert
 from repro.core.container import CompressedDataset, resolve_global_eb
 from repro.engine.registry import codec_names, get_codec, get_spec
 from repro.sz.compressor import SZCompressor
-from repro.sz.huffman import HuffmanCodec, canonical_codes, huffman_code_lengths
+from repro.sz.huffman import _UNASSIGNED_LEN, HuffmanCodec, canonical_codes, huffman_code_lengths
 
 from tests.helpers import assert_error_bounded, smooth_cube
 
@@ -294,10 +294,13 @@ def _naive_canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
 
 def _naive_decode_table(lengths, codes, max_len):
-    """Reference dense decode table: one Python slice-fill per symbol."""
+    """Reference dense decode table: one Python slice-fill per symbol.
+
+    Code space no symbol owns keeps the unassigned sentinel length.
+    """
     size = 1 << max_len
     table_sym = np.zeros(size, dtype=np.int32)
-    table_len = np.zeros(size, dtype=np.int64)
+    table_len = np.full(size, _UNASSIGNED_LEN, dtype=np.int64)
     for sym in np.flatnonzero(lengths):
         length = int(lengths[sym])
         lo = int(codes[sym]) << (max_len - length)
