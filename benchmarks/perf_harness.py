@@ -210,6 +210,33 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
     ops["huffman_decode_multi"] = op_entry(
         time_op(lambda: decode_streams(streams), repeats), multi.size, multi.size * 8
     )
+
+    # Code construction per stream: the symbol histograms of one field cut
+    # into 4 x 4 x 4 bricks (64 SZ streams), each turned into a
+    # length-limited canonical code the way compress does.
+    from repro.sim.nyx import generate_field
+    from repro.sz import SZCompressor
+
+    side = max(512 // scale, 32)
+    field = generate_field("baryon_density", side, seed=42)
+    sz = SZCompressor()
+    eb_abs = 1e-3 * float(field.max() - field.min())
+    step = side // 4
+    bricks = [
+        np.ascontiguousarray(field[x : x + step, y : y + step, z : z + step])
+        for x in range(0, side, step)
+        for y in range(0, side, step)
+        for z in range(0, side, step)
+    ]
+    histograms = [sz.prepare(b, eb_abs, "abs").counts for b in bricks]
+    max_len = sz.config.max_code_len
+
+    def build_codes():
+        return [HuffmanCodec.from_counts(c, max_len=max_len) for c in histograms]
+
+    ops["huffman_code_lengths"] = op_entry(
+        time_op(build_codes, repeats), len(histograms), sum(c.nbytes for c in histograms)
+    )
     return ops
 
 
@@ -486,6 +513,7 @@ GROUP_OPS = {
         "huffman_table_build",
         "huffman_decode_chunked_window",
         "huffman_decode_multi",
+        "huffman_code_lengths",
     ),
     "blocks": ("gather_blocks", "scatter_blocks", "block_counts"),
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))

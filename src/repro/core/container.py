@@ -161,12 +161,30 @@ def pack_mask(mask: np.ndarray, level: int = 1) -> bytes:
 
 
 def unpack_mask(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    """Invert :func:`pack_mask` for a known shape."""
+    """Invert :func:`pack_mask` for a known shape.
+
+    The payload must inflate to exactly the ``ceil(size / 8)`` bytes
+    :func:`pack_mask` writes for ``shape`` — a mask of another shape or a
+    corrupt stream raises ``ValueError`` naming the declared shape — and
+    inflation stops one byte past that, so a hostile payload cannot
+    allocate more.
+    """
     size = int(np.prod(shape))
-    bits = np.unpackbits(np.frombuffer(zlib.decompress(payload), dtype=np.uint8))
-    if bits.size < size:
-        raise ValueError("mask payload shorter than the declared shape")
-    return bits[:size].astype(bool).reshape(shape)
+    n_bytes = -(-size // 8)
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(payload, n_bytes + 1)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt mask payload for shape {tuple(shape)}: {exc}") from exc
+    if len(raw) != n_bytes or not inflater.eof:
+        # A stream cut short (no end marker) is "shorter" even when the
+        # bytes it did inflate happen to number ``n_bytes``.
+        relation = "longer" if len(raw) > n_bytes else "shorter"
+        raise ValueError(
+            f"mask payload {relation} than the {n_bytes} packed bytes of the "
+            f"declared shape {tuple(shape)}"
+        )
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size).astype(bool).reshape(shape)
 
 
 def collapse_part_sizes(

@@ -6,9 +6,13 @@ arbitrary bit offsets during table-driven decoding.  Both are implemented
 with whole-array NumPy operations — no per-symbol Python loop — following
 the vectorization idioms of the HPC guides:
 
-* **pack**: for bit position ``j`` within a codeword (at most ``max_len``
-  iterations, typically <= 18) scatter the ``j``-th bit of every codeword
-  into a flat boolean bit array at ``offset + j``, then ``np.packbits``.
+* **pack**: work on 64-bit words, O(symbols) rather than O(bits).  Each
+  codeword is keyed on the word holding its last bit and left-shifted so
+  that bit lands at its place in the word; the codes of one word never
+  overlap, so one ``np.bitwise_or.reduceat`` builds every word.  A code
+  that straddles into a word from the previous one contributes its high
+  bits there with one more shift (at most one code per word boundary).
+  The words are written big-endian.
 * **peek**: gather four consecutive bytes at ``offset // 8``, combine into a
   big-endian ``uint32`` and shift/mask to expose ``width`` bits.
 
@@ -23,6 +27,15 @@ import numpy as np
 #: Safety padding (bytes) appended to buffers so a 4-byte gather at the last
 #: bit offset never reads out of bounds.
 _PEEK_PAD = 4
+
+#: Longest codeword :func:`pack_codes` accepts.  The word pack itself needs
+#: codes shorter than 64 bits: then a code spans at most two words, every
+#: word holds the end of some code, and no shift reaches the word width.
+#: 57 is the tighter classic bit-writer bound (a writer that flushes whole
+#: bytes holds at most 7 pending bits, and 57 + 7 = 64 fits one register),
+#: kept so the accepted range never changes; it far exceeds any
+#: length-limited Huffman code built here (the decoder peeks at most 24).
+MAX_CODE_BITS = 57
 
 
 def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -42,43 +55,67 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         ``buffer`` is the packed stream plus :data:`_PEEK_PAD` zero bytes of
         slack; ``total_bits`` is the exact number of payload bits.
     """
-    codes = np.asarray(codes, dtype=np.uint64)
+    codes = np.array(codes, dtype=np.uint64)  # a copy: packing works in place
     lengths = np.asarray(lengths, dtype=np.int64)
     if codes.shape != lengths.shape:
         raise ValueError("codes and lengths must have identical shapes")
     if codes.size == 0:
         return b"\x00" * _PEEK_PAD, 0
+    codes = codes.ravel()
+    lengths = lengths.ravel()
     if lengths.min() <= 0:
         raise ValueError("all codeword lengths must be positive")
     max_len = int(lengths.max())
-    if max_len > 57:
-        # 57 bits keeps offset+j arithmetic within exact float64/int64 range
-        # and far exceeds any length-limited Huffman code we build.
-        raise ValueError(f"codeword length {max_len} exceeds supported maximum 57")
-
+    if max_len > MAX_CODE_BITS:
+        raise ValueError(
+            f"codeword length {max_len} exceeds supported maximum {MAX_CODE_BITS}"
+        )
+    # Only the low ``lengths[i]`` bits are the codeword; bits above them
+    # would land on the neighbouring codes.
+    codes &= (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)
     ends = np.cumsum(lengths)
     total_bits = int(ends[-1])
+    return pack_words(codes, ends), total_bits
 
-    # One flat pass over the output bits: global bit position ``p`` belongs
-    # to the symbol whose codeword covers it, and its in-codeword shift from
-    # the LSB is ``ends[sym] - 1 - p``.  ``np.repeat`` expands the per-symbol
-    # quantities to bit granularity, so the whole stream packs in a handful
-    # of whole-array operations — O(total_bits), independent of ``max_len``
-    # (the old per-bit-plane loop cost O(n_symbols * max_len)).  int32
-    # arithmetic halves the bandwidth of the two big repeats whenever both
-    # the codes and the bit offsets fit (always, for length-limited codes
-    # on streams under 2**31 bits).
-    dtype = np.int32 if (max_len <= 31 and total_bits <= np.iinfo(np.int32).max) else np.int64
-    shifts = np.repeat(ends.astype(dtype, copy=False), lengths)
-    shifts -= 1
-    shifts -= np.arange(total_bits, dtype=dtype)
-    bitvals = np.repeat(codes.astype(dtype), lengths)
-    bitvals >>= shifts
-    bitvals &= 1
-    # np.packbits zero-pads the final partial byte, matching the explicit
-    # zero bit array this replaces.
-    packed = np.packbits(bitvals.astype(np.uint8))
-    return packed.tobytes() + b"\x00" * _PEEK_PAD, total_bits
+
+def pack_words(codes: np.ndarray, ends: np.ndarray) -> bytes:
+    """The word pack behind :func:`pack_codes`, on prepared arrays.
+
+    ``codes`` is a ``uint64`` array of codewords that fit their lengths and
+    ``ends`` the ``int64`` running sum of those lengths (bit position just
+    past each code), with every length in ``1..MAX_CODE_BITS``.  Both
+    arrays are consumed: they are overwritten in place, so the caller
+    passes freshly built ones and keeps no use for them.  Returns the
+    packed stream plus :data:`_PEEK_PAD` zero bytes.
+    """
+    total_bits = int(ends[-1])
+    n_words = (total_bits + 63) >> 6
+    # Codes are shorter than 64 bits, so the gap between two consecutive
+    # code ends is too and every word holds the last bit of at least one
+    # code: ``first[k]`` — the first code ending in word ``k`` — is
+    # defined for every word, and ``reduceat`` over it yields each word.
+    first = np.searchsorted(ends, np.arange(n_words, dtype=np.int64) << 6, side="right")
+    # The first code of word k started at or before the word's first bit;
+    # its ``tail`` low bits (at most its length) are in word k and any bits
+    # above them close word k - 1.  A code that starts on the boundary has
+    # nothing above its tail, so the shift below yields 0 for it.
+    straddle = codes[first[1:]]
+    tail = ends[first[1:]]
+    tail -= np.arange(1, n_words, dtype=np.int64) << 6
+    straddle >>= tail.view(np.uint64)
+    # In place, so the pack allocates nothing per symbol: the shift that
+    # puts each code's last bit at ``end - 1`` within its word is
+    # ``(-end) & 63`` (bits past 64 fall off the left).
+    np.negative(ends, out=ends)
+    ends &= 63
+    codes <<= ends.view(np.uint64)
+    # One spare zero word: the payload's last byte is followed by at least
+    # _PEEK_PAD zero bytes inside the array.
+    words = np.zeros(n_words + 1, dtype=np.uint64)
+    np.bitwise_or.reduceat(codes, first, out=words[:n_words])
+    words[: n_words - 1] |= straddle
+    n_bytes = (total_bits + 7) >> 3
+    return words.astype(">u8", copy=False).view(np.uint8)[: n_bytes + _PEEK_PAD].tobytes()
 
 
 def as_peekable(buffer: bytes | np.ndarray) -> np.ndarray:

@@ -85,7 +85,8 @@ class SZConfig:
     zlib_level:
         DEFLATE effort for the lossless back end (0 disables it).
     block_size:
-        Huffman decode block length; ``None`` picks ``~sqrt(n)``.
+        Huffman decode block length, an int >= 1; ``None`` picks
+        ``~sqrt(n)``.
     """
 
     predictor: str = "interp"
@@ -101,6 +102,12 @@ class SZConfig:
             raise ValueError("radius must be at least 2")
         if not 2 <= self.max_code_len <= 24:
             raise ValueError("max_code_len must be in [2, 24]")
+        if self.block_size is not None and (
+            isinstance(self.block_size, bool)
+            or not isinstance(self.block_size, (int, np.integer))
+            or self.block_size < 1
+        ):
+            raise ValueError(f"block_size must be None or an int >= 1, got {self.block_size!r}")
         if 2 * self.radius + 1 > (1 << self.max_code_len):
             raise ValueError(
                 f"alphabet 2*radius+1={2 * self.radius + 1} cannot fit in "

@@ -37,11 +37,15 @@ pure-NumPy implementation fast:
 
 The offsets cost 8 bytes per block (< 0.5% overhead for the default block
 size) and are accounted for in the compressed size.
+
+Encoding is O(symbols) word work: one prefix sum of the code lengths gives
+both the block offsets and the bit positions that
+:func:`repro.sz.bitstream.pack_words` packs 64 bits at a time, and code
+lengths come from a linear two-queue Huffman construction.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -49,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.sz import bitstream
-from repro.sz.bitstream import _PEEK_PAD, gather_words, pack_codes, window_words
+from repro.sz.bitstream import MAX_CODE_BITS, _PEEK_PAD, gather_words, pack_words, window_words
 
 #: Default cap on codeword length; the decode table is ``2**DEFAULT_MAX_LEN``
 #: entries (65536 at 16 → ~768 KB of int32/int64 tables).
@@ -123,31 +127,33 @@ def huffman_code_lengths(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> 
             f"max_len={max_len} bits"
         )
 
-    # Standard Huffman tree over present symbols via a heap; the tie-break
-    # index keeps the heap comparisons on ints only (deterministic output).
-    heap: list[tuple[int, int, object]] = [
-        (int(counts[s]), i, int(s)) for i, s in enumerate(present)
-    ]
-    heapq.heapify(heap)
-    next_tie = n_present
-    while len(heap) > 1:
-        c1, _, n1 = heapq.heappop(heap)
-        c2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (c1 + c2, next_tie, (n1, n2)))
-        next_tie += 1
-    # Depth-first traversal to read leaf depths (iterative: trees for skewed
-    # histograms can be ~n deep, beyond Python's recursion limit).
-    depth_of: dict[int, int] = {}
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, tuple):
-            stack.append((node[0], depth + 1))
-            stack.append((node[1], depth + 1))
-        else:
-            depth_of[node] = max(depth, 1)
+    # Two-queue Huffman (linear after the sort): leaves sorted by count —
+    # stably, so equal counts keep symbol order — and internal nodes, which
+    # are created in nondecreasing weight order.  Each merge takes the two
+    # lightest heads, the leaf on equal weights: exactly the order of a
+    # heap keyed on (count, leaves before internals, creation order), so
+    # the lengths match the classic heap construction.  Nodes are numbered
+    # leaves first, then internals in creation order, so every parent
+    # outranks its children and one reverse pass over the parent pointers
+    # reads the depths.
+    order = np.argsort(counts[present], kind="stable")
+    weight = counts[present][order].tolist() + [0] * (n_present - 1)
+    parent = [0] * (2 * n_present - 1)
+    leaf, inner = 0, n_present
+    for node in range(n_present, 2 * n_present - 1):
+        for _ in range(2):
+            if leaf < n_present and (inner == node or weight[leaf] <= weight[inner]):
+                child, leaf = leaf, leaf + 1
+            else:
+                child, inner = inner, inner + 1
+            weight[node] += weight[child]
+            parent[child] = node
+    depth = [0] * (2 * n_present - 1)
+    for node in range(2 * n_present - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
 
-    raw = np.array([depth_of[int(s)] for s in present], dtype=np.int64)
+    raw = np.empty(n_present, dtype=np.int64)
+    raw[order] = depth[:n_present]
     raw = _limit_lengths(raw, max_len)
     lengths[present] = raw.astype(np.uint8)
     return lengths
@@ -241,7 +247,9 @@ class HuffmanCodec:
         kraft = float(np.sum(np.ldexp(1.0, -self.lengths[present].astype(np.int64)))) if present.size else 0.0
         if kraft > 1.0 + 1e-12:
             raise ValueError(f"code lengths violate the Kraft inequality (sum={kraft})")
-        self.codes = canonical_codes(self.lengths)
+        # uint64, the word type the encoder packs, so the per-symbol gather
+        # in :meth:`encode` is the only copy of the codes.
+        self.codes = canonical_codes(self.lengths).astype(np.uint64)
         self._table_sym: np.ndarray | None = None
         self._table_len: np.ndarray | None = None
 
@@ -285,18 +293,27 @@ class HuffmanCodec:
         n = symbols.size
         if n and (symbols.min() < 0 or symbols.max() >= self.lengths.size):
             raise ValueError("symbol out of alphabet range")
-        block = int(block_size) if block_size else default_block_size(n)
+        block = default_block_size(n) if block_size is None else int(block_size)
         if block <= 0:
-            raise ValueError("block_size must be positive")
+            raise ValueError(f"block_size must be positive, got {block_size!r}")
         if n == 0:
             return HuffmanEncoded(b"", 0, np.zeros(0, dtype=np.int64), 0, block)
-        sym_lengths = self.lengths[symbols].astype(np.int64)
-        if sym_lengths.min() == 0:
+        # One prefix sum per stream: it gives the block offsets (block j
+        # starts where symbol j*block - 1 ends) and drives the word pack,
+        # which then consumes it and the freshly gathered codes in place.
+        # Gathering from an int64 copy of the small length table lets the
+        # cumsum run in place, without a widening pass over the stream.
+        ends = self.lengths.astype(np.int64)[symbols]
+        if ends.min() == 0:
             raise ValueError("attempted to encode a symbol with no codeword")
-        payload, total_bits = pack_codes(self.codes[symbols], sym_lengths)
-        ends = np.cumsum(sym_lengths)
-        starts = ends - sym_lengths
-        block_offsets = starts[::block].astype(np.int64)
+        if self.max_len > MAX_CODE_BITS and int(ends.max()) > MAX_CODE_BITS:
+            raise ValueError(
+                f"codeword length {int(ends.max())} exceeds supported maximum {MAX_CODE_BITS}"
+            )
+        np.cumsum(ends, out=ends)
+        total_bits = int(ends[-1])
+        block_offsets = np.concatenate(([0], ends[block - 1 : n - 1 : block]))
+        payload = pack_words(self.codes[symbols], ends)
         return HuffmanEncoded(payload, total_bits, block_offsets, n, block)
 
     # -- decode ----------------------------------------------------------

@@ -38,7 +38,10 @@ def decompress_bytes(codec: int, payload: bytes) -> bytes:
     if codec == CODEC_RAW:
         return payload
     if codec == CODEC_ZLIB:
-        return zlib.decompress(payload)
+        try:
+            return zlib.decompress(payload)
+        except zlib.error as exc:
+            raise ValueError(f"corrupt zlib section: {exc}") from exc
     raise ValueError(f"unknown lossless codec tag {codec!r}")
 
 

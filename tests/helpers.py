@@ -144,6 +144,25 @@ def golden_gsp_dataset(n: int = 16) -> AMRDataset:
     return ds
 
 
+def naive_pack(codes, lengths) -> tuple[bytes, int]:
+    """Reference packer: append each codeword's bits one at a time, MSB
+    first, into a growing byte string (the low ``length`` bits of each
+    code are the codeword)."""
+    out = bytearray()
+    acc = n_acc = total = 0
+    for code, length in zip(codes, lengths):
+        for j in range(int(length) - 1, -1, -1):
+            acc = (acc << 1) | ((int(code) >> j) & 1)
+            n_acc += 1
+            total += 1
+            if n_acc == 8:
+                out.append(acc)
+                acc = n_acc = 0
+    if n_acc:
+        out.append(acc << (8 - n_acc))
+    return bytes(out) + b"\x00" * 4, total
+
+
 def assert_error_bounded(original, reconstructed, bound: float, rtol: float = 1e-4):
     """Assert max |a-b| <= bound, with the storage-dtype ULP allowance.
 

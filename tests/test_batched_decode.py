@@ -20,7 +20,7 @@ from repro.core.plan import DecodeUnit, DecompressionPlan, batch_units, execute_
 from repro.core.tac import TACCompressor
 from repro.engine.archive import BatchArchive
 from repro.serve import ArchiveReader
-from repro.sz import SZCompressor, bitstream, stream
+from repro.sz import SZCompressor, bitstream, lossless, stream
 from repro.sz.huffman import HuffmanCodec, HuffmanEncoded, decode_streams
 from tests.helpers import smooth_cube, two_level_dataset
 
@@ -376,20 +376,40 @@ class TestReadRegionAssembly:
                     )
 
 
+def _bump_total_bits(blob: bytes) -> bytes:
+    meta = stream.unpack_meta(stream.parse(blob).section(stream.SEC_META)[1])
+    return _with_meta(blob, total_bits=meta["total_bits"] + 1)
+
+
+def _garble_payload(blob: bytes) -> bytes:
+    parsed = stream.parse(blob)
+    garbled = {stream.SEC_PAYLOAD: (lossless.CODEC_ZLIB, b"\x00" * 10)}
+    sections = [(tag, *garbled.get(tag, part)) for tag, part in parsed.sections.items()]
+    return stream.serialize(parsed.header, sections)
+
+
 class TestDegradedBatch:
-    def test_undecodable_brick_fills_exactly_its_box(self, tmp_path):
+    # A corrupt zlib payload raises ValueError like any corrupt stream,
+    # and degraded reads classify both as "io".
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (_bump_total_bits, "corrupt Huffman stream"),
+            (_garble_payload, "corrupt zlib section"),
+        ],
+        ids=["total_bits", "zlib_payload"],
+    )
+    def test_undecodable_brick_fills_exactly_its_box(self, tmp_path, corrupt, error):
         tac, comp = _toy(shared_tables=True)
         roi = ROIS[8][0]
         clean = tac.decompress_region(comp, BRICK_LEVEL, roi)
         victim = "L1/b13"  # the centre brick, cells [4, 8) on every axis
-        blob = comp.parts[victim]
-        meta = stream.unpack_meta(stream.parse(blob).section(stream.SEC_META)[1])
         # The part's CRC is computed over these bytes at save time, so the
         # fetch verifies; only the decode can find the damage.
-        comp.parts[victim] = _with_meta(blob, total_bits=meta["total_bits"] + 1)
+        comp.parts[victim] = corrupt(comp.parts[victim])
         head = _save(tmp_path, comp)
         with ArchiveReader(head, cache_bytes=0, fill_value=-7.0) as reader:
-            with pytest.raises(ValueError, match="corrupt Huffman stream"):
+            with pytest.raises(ValueError, match=error):
                 reader.read_region(KEY, BRICK_LEVEL, roi)
             data, stats = reader.read_region(KEY, BRICK_LEVEL, roi, degraded=True)
         assert [row["unit"] for row in stats.errors] == [victim]

@@ -113,6 +113,21 @@ class TestContainer:
         with pytest.raises(ValueError, match="shorter"):
             unpack_mask(blob, (64, 64, 64))
 
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 7), (1,)])
+    def test_mask_payload_too_long_rejected(self, shape):
+        # An 8³ mask read under another shape must not decode silently
+        # into that shape's cells.
+        blob = pack_mask(random_mask((8, 8, 8), 0.4, seed=3))
+        with pytest.raises(ValueError, match=r"longer .*declared shape"):
+            unpack_mask(blob, shape)
+
+    def test_mask_payload_corrupt_or_truncated_rejected(self):
+        blob = pack_mask(random_mask((8, 8, 8), 0.4, seed=3))
+        with pytest.raises(ValueError, match="corrupt mask payload"):
+            unpack_mask(b"\x00" * 10, (8, 8, 8))
+        with pytest.raises(ValueError, match="shorter"):
+            unpack_mask(blob[:-2], (8, 8, 8))  # adler32 cut: no end marker
+
     def test_accounting(self):
         comp = CompressedDataset(
             method="m", dataset_name="d", original_bytes=1000, n_values=250

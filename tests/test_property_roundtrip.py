@@ -18,6 +18,8 @@ isolation with ``pytest -k 'case17'``.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -27,16 +29,24 @@ from repro.core.blocks import AXIS_PERMS, BlockExtraction, gather_blocks, invert
 from repro.core.container import CompressedDataset, resolve_global_eb
 from repro.engine.registry import codec_names, get_codec, get_spec
 from repro.sz.compressor import SZCompressor
-from repro.sz.huffman import _UNASSIGNED_LEN, HuffmanCodec, canonical_codes, huffman_code_lengths
+from repro.sz.huffman import (
+    _UNASSIGNED_LEN,
+    HuffmanCodec,
+    _limit_lengths,
+    canonical_codes,
+    huffman_code_lengths,
+)
 
 from tests.helpers import assert_error_bounded, smooth_cube
 
 #: Case counts: 120 SZ cases + 24 AMR scenarios × 4 codecs = 216 total,
-#: plus 40 block gather/scatter and 40 Huffman-table bit-identity cases.
+#: plus 40 block gather/scatter and 40 + 20 (tie-heavy) Huffman-table
+#: bit-identity cases.
 N_SZ_CASES = 120
 N_AMR_SCENARIOS = 24
 N_BLOCK_CASES = 40
 N_TABLE_CASES = 40
+N_TIE_CASES = 20
 
 #: Registry codecs under fuzz (canonical names; tac-hybrid shares tac's
 #: format and is exercised separately by the strategy tests).
@@ -339,23 +349,82 @@ def _histogram_case(seed: int) -> np.ndarray:
     return np.asarray(counts, dtype=np.int64)
 
 
+def _tie_histogram_case(seed: int) -> np.ndarray:
+    """Histogram whose merge order is decided by tie-breaks: all present
+    counts equal (even seeds) or powers of two, where a merged pair often
+    weighs exactly as much as the next leaf (odd seeds)."""
+    rng = np.random.default_rng(7000 + seed)
+    alphabet = int(rng.integers(2, 600))
+    present = rng.random(alphabet) < 0.7
+    if seed % 2 == 0:
+        counts = np.full(alphabet, int(rng.integers(1, 5)))
+    else:
+        counts = np.int64(1) << rng.integers(0, 12, alphabet)
+    return np.where(present, counts, 0).astype(np.int64)
+
+
+def _heap_code_lengths(counts: np.ndarray, max_len: int) -> np.ndarray:
+    """Reference code lengths: the classic heap-built Huffman tree.
+
+    Heap entries are ``(count, tie, node)`` with leaves tied by their rank
+    among the present symbols and internal nodes by creation order after
+    them; depths are read by a depth-first walk and then limited exactly as
+    the library does.
+    """
+    present = np.flatnonzero(counts)
+    lengths = np.zeros(counts.size, dtype=np.uint8)
+    if present.size == 0:
+        return lengths
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+    heap = [(int(counts[s]), i, int(s)) for i, s in enumerate(present)]
+    heapq.heapify(heap)
+    next_tie = present.size
+    while len(heap) > 1:
+        c1, _, n1 = heapq.heappop(heap)
+        c2, _, n2 = heapq.heappop(heap)
+        heapq.heappush(heap, (c1 + c2, next_tie, (n1, n2)))
+        next_tie += 1
+    depth_of = {}
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, tuple):
+            stack.append((node[0], depth + 1))
+            stack.append((node[1], depth + 1))
+        else:
+            depth_of[node] = depth
+    raw = np.array([depth_of[int(s)] for s in present], dtype=np.int64)
+    lengths[present] = _limit_lengths(raw, max_len).astype(np.uint8)
+    return lengths
+
+
+def _check_table_build(counts: np.ndarray, seed: int) -> None:
+    max_len = int(np.random.default_rng(seed).choice([8, 12, 16]))
+    if (1 << max_len) < int(np.count_nonzero(counts)):
+        max_len = 16  # the 8-bit cap cannot hold wide uniform alphabets
+    lengths = huffman_code_lengths(counts, max_len=max_len)
+    assert np.array_equal(lengths, _heap_code_lengths(counts, max_len)), "code lengths diverged"
+    fast_codes = canonical_codes(lengths)
+    naive_codes = _naive_canonical_codes(lengths)
+    assert np.array_equal(fast_codes, naive_codes), "canonical codes diverged"
+
+    codec = HuffmanCodec(lengths, max_len=max_len)
+    codec._build_table()
+    ref_sym, ref_len = _naive_decode_table(lengths, naive_codes, max_len)
+    assert np.array_equal(codec._table_sym, ref_sym), "decode table syms diverged"
+    assert np.array_equal(codec._table_len, ref_len), "decode table lens diverged"
+
+
 class TestHuffmanTableBitIdentity:
     @pytest.mark.parametrize("seed", range(N_TABLE_CASES), ids=lambda s: f"case{s}")
     def test_vectorized_table_build_matches_naive(self, seed):
-        counts = _histogram_case(seed)
-        max_len = int(np.random.default_rng(seed).choice([8, 12, 16]))
-        if (1 << max_len) < int(np.count_nonzero(counts)):
-            max_len = 16  # the 8-bit cap cannot hold wide uniform alphabets
-        lengths = huffman_code_lengths(counts, max_len=max_len)
-        fast_codes = canonical_codes(lengths)
-        naive_codes = _naive_canonical_codes(lengths)
-        assert np.array_equal(fast_codes, naive_codes), "canonical codes diverged"
+        _check_table_build(_histogram_case(seed), seed)
 
-        codec = HuffmanCodec(lengths, max_len=max_len)
-        codec._build_table()
-        ref_sym, ref_len = _naive_decode_table(lengths, naive_codes, max_len)
-        assert np.array_equal(codec._table_sym, ref_sym), "decode table syms diverged"
-        assert np.array_equal(codec._table_len, ref_len), "decode table lens diverged"
+    @pytest.mark.parametrize("seed", range(N_TIE_CASES), ids=lambda s: f"tie{s}")
+    def test_tie_heavy_histograms_match_naive(self, seed):
+        _check_table_build(_tie_histogram_case(seed), seed)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sz.bitstream import as_peekable, pack_codes, peek_bits, unpack_to_bits
+from tests.helpers import naive_pack
 
 
 class TestPackCodes:
@@ -106,3 +107,64 @@ class TestRoundTrip:
             peeked = int(peek_bits(arr, offsets[i : i + 1], width)[0])
             want = int(code) >> (int(length) - width)
             assert peeked == want
+
+
+def _fill_to(lengths: list[int], multiple: int) -> list[int]:
+    """``lengths`` plus codes of at most 57 bits that make the total a
+    multiple of ``multiple`` (so the last code ends on that boundary)."""
+    rem = -sum(lengths) % multiple
+    while rem:
+        step = min(rem, 57)
+        lengths = lengths + [step]
+        rem -= step
+    return lengths
+
+
+@st.composite
+def _code_streams(draw):
+    lengths = draw(st.lists(st.integers(1, 57), min_size=1, max_size=120))
+    align = draw(st.sampled_from([1, 8, 64]))
+    lengths = _fill_to(lengths, align)
+    # Full 64-bit values: the bits above each length must be ignored.
+    codes = draw(
+        st.lists(st.integers(0, 2**64 - 1), min_size=len(lengths), max_size=len(lengths))
+    )
+    return np.array(codes, dtype=np.uint64), np.array(lengths, dtype=np.int64)
+
+
+class TestPackCodesMatchesNaive:
+    @settings(max_examples=200, deadline=None)
+    @given(_code_streams())
+    def test_random_streams(self, stream):
+        codes, lengths = stream
+        assert pack_codes(codes, lengths) == naive_pack(codes, lengths)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [1],  # a single one-bit symbol
+            [57],  # a single longest symbol
+            [57, 7],  # ends exactly on the first word boundary
+            [32, 32, 7, 57],  # codes end on the first and second word boundaries
+            [57, 57, 57],  # every code after the first straddles a word
+            [8, 57, 3],  # the 57-bit code reaches 1 bit into the second word
+            [3, 5],  # total_bits ≡ 0 (mod 8), not (mod 64)
+            [57, 7, 57, 7],  # total_bits ≡ 0 (mod 64)
+            [1] * 64 + [2] * 32,  # many codes per word
+        ],
+    )
+    def test_word_boundaries(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        lengths = np.array(lengths, dtype=np.int64)
+        codes = rng.integers(0, 2**64 - 1, size=lengths.size, dtype=np.uint64, endpoint=True)
+        assert pack_codes(codes, lengths) == naive_pack(codes, lengths)
+        # All-ones codes catch a bit ORed into the wrong word.
+        ones = (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)
+        assert pack_codes(ones, lengths) == naive_pack(ones, lengths)
+
+    def test_does_not_modify_inputs(self):
+        codes = np.array([5, 2**40 + 3, 1], dtype=np.uint64)
+        lengths = np.array([3, 45, 57], dtype=np.int64)
+        before = codes.copy(), lengths.copy()
+        pack_codes(codes, lengths)
+        assert np.array_equal(codes, before[0]) and np.array_equal(lengths, before[1])

@@ -32,6 +32,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="alphabet"):
             SZConfig(radius=2**20, max_code_len=16)
 
+    @pytest.mark.parametrize("block_size", [0, -3, 2.5, True, "64"])
+    def test_rejects_bad_block_size(self, block_size):
+        # 0 must not silently mean "default", and a negative size must
+        # fail here rather than inside compress.
+        with pytest.raises(ValueError, match="block_size"):
+            SZConfig(block_size=block_size)
+
+    @pytest.mark.parametrize("block_size", [None, 1, np.int64(4096)])
+    def test_accepts_block_size(self, block_size):
+        assert SZConfig(block_size=block_size).block_size == block_size
+
     def test_kwargs_init(self):
         codec = SZCompressor(radius=128, zlib_level=0)
         assert codec.config.radius == 128

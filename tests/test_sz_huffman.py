@@ -14,6 +14,7 @@ from repro.sz.huffman import (
     default_block_size,
     huffman_code_lengths,
 )
+from tests.helpers import naive_pack
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -139,6 +140,37 @@ class TestCodecRoundTrip:
         codec = HuffmanCodec.from_symbols(symbols, alphabet_size=4)
         encoded = codec.encode(symbols, block_size=1)
         assert np.array_equal(codec.decode(encoded), symbols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5000), min_size=2, max_size=40),
+        st.integers(1, 3000),
+        st.one_of(st.none(), st.integers(1, 300)),
+        st.integers(0, 2**31),
+    )
+    def test_encode_matches_naive_packer(self, counts, n, block_size, seed):
+        # Payload bytes and block offsets pinned to a bit-by-bit reference:
+        # codeword by codeword, each block starting where the last ended.
+        counts = np.array(counts, dtype=np.int64)
+        codec = HuffmanCodec.from_counts(counts)
+        rng = np.random.default_rng(seed)
+        symbols = rng.choice(counts.size, size=n, p=counts / counts.sum())
+        enc = codec.encode(symbols, block_size=block_size)
+        lengths = codec.lengths[symbols].astype(np.int64)
+        payload, total_bits = naive_pack(codec.codes[symbols], lengths)
+        assert (enc.payload, enc.total_bits) == (payload, total_bits)
+        if block_size is not None:
+            assert enc.block_size == block_size
+        starts = np.cumsum(lengths) - lengths
+        assert enc.block_offsets.dtype == np.int64
+        assert np.array_equal(enc.block_offsets, starts[:: enc.block_size])
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_rejects_non_positive_block_size(self, block_size):
+        # Only None selects the default block size.
+        codec = HuffmanCodec.from_counts(np.array([1, 1]))
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            codec.encode(np.array([0, 1]), block_size=block_size)
 
     def test_rejects_out_of_alphabet(self):
         codec = HuffmanCodec.from_counts(np.array([1, 1]))

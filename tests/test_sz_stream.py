@@ -30,6 +30,10 @@ class TestLossless:
         with pytest.raises(ValueError, match="unknown"):
             lossless.decompress_bytes(99, b"")
 
+    def test_corrupt_zlib_section_raises_value_error(self):
+        with pytest.raises(ValueError, match="corrupt zlib section"):
+            lossless.decompress_bytes(lossless.CODEC_ZLIB, b"\x00" * 10)
+
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="level"):
             lossless.compress_bytes(b"x", level=11)
